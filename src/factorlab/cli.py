@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .errors import FactorLabError, FieldMismatch, NotSubgroup
+from .errors import FactorLabError, FieldMismatch, NotSubgroup, UsageError
 from .gf import FieldSpec
 from .linalg import GroupElem, SpaceFrame
 from .perm import bsgs, enumerate_and_sift, nonzero_vectors
@@ -40,16 +40,32 @@ def _add_caps(p):
                    help="TIER-A cap on |G0| (default 1e40)")
     p.add_argument("--max-group", default="1e9",
                    help="BSGS order cap for TIER-B (default 1e9)")
-    p.add_argument("--max-domain", type=int, default=DEFAULT_CAPS["max_domain"])
-    p.add_argument("--max-enum", type=int, default=DEFAULT_CAPS["max_enum"])
+    p.add_argument("--max-domain", default=DEFAULT_CAPS["max_domain"],
+                   help="size cap on a TIER-B domain")
+    p.add_argument("--max-enum", default=DEFAULT_CAPS["max_enum"],
+                   help="cap on the elements enumerated by enumerate-and-sift")
+
+
+def parse_cap(text):
+    """A positive integer cap, written as an integer or in exact scientific
+    notation: "1e40" is 10**40, not the float nearest to it."""
+    from decimal import Decimal, InvalidOperation  # only when a command runs
+
+    try:
+        val = Decimal(text)
+    except InvalidOperation:
+        val = None
+    if val is None or not val.is_finite() or val != val.to_integral_value() or val < 1:
+        raise UsageError(f"cap {text!r} is not a positive integer")
+    return int(val)
 
 
 def _caps_from(args):
     return {
-        "max_order": int(float(args.max_order)),
-        "max_group": int(float(args.max_group)),
-        "max_domain": args.max_domain,
-        "max_enum": args.max_enum,
+        "max_order": parse_cap(args.max_order),
+        "max_group": parse_cap(args.max_group),
+        "max_domain": parse_cap(args.max_domain),
+        "max_enum": parse_cap(args.max_enum),
     }
 
 
@@ -231,7 +247,7 @@ def cmd_sweep(args):
     caps = _caps_from(args)
     reports, summary = sweep(
         records, tier=args.tier, caps=caps, seed=args.seed,
-        table=args.table, row=args.row, jobs=args.jobs,
+        table=args.table, row=args.row, sub=args.sub, jobs=args.jobs,
     )
     _render(args, reports, summary)
     return 1 if summary["fail"] else 0
@@ -246,10 +262,17 @@ def cmd_export_db(args):
 
 def _load_genfile(path):
     with open(path) as fh:
-        doc = json.load(fh)
-    field = FieldSpec.deserialize(doc["field"])
-    gens = [GroupElem.deserialize(field, g) for g in doc["gens"]]
-    return field, doc["n"], gens
+        try:
+            doc = json.load(fh)
+            field = FieldSpec.deserialize(doc["field"])
+            gens = [GroupElem.deserialize(field, g) for g in doc["gens"]]
+            n = doc["n"]
+        except (ValueError, KeyError, TypeError, IndexError) as e:
+            # json.JSONDecodeError is a ValueError
+            raise UsageError(f"{path}: not a generator file ({type(e).__name__}: {e})") from None
+    if type(n) is not int or n < 1 or any(g.n != n for g in gens):
+        raise UsageError(f"{path}: the generators are not {n!r} x {n!r} matrices")
+    return field, n, gens
 
 
 def cmd_check_triple(args):
@@ -299,7 +322,7 @@ def main(argv=None):
     except FactorLabError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

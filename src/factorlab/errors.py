@@ -102,3 +102,7 @@ class ManifestMismatch(FactorLabError):
 
 class NotSubgroup(FactorLabError):
     pass
+
+
+class UsageError(FactorLabError):
+    pass

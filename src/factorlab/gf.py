@@ -4,12 +4,16 @@ Elements of GF(p^f) are plain ints in [0, p^f): the base-p digits of the
 int are the coefficients of the residue polynomial, lowest degree first.
 For p = 2 the packed int coincides with the usual bit representation, so
 addition is XOR.  Each field lazily builds discrete-log tables (all our
-fields are tiny), after which mul/inv/pow are table lookups.
+fields are tiny), after which mul/inv/pow are table lookups; for odd p it
+also builds q x q addition and q-length negation tables on first use.
 """
 
 from __future__ import annotations
 
 from .errors import DivisionByZero, FieldMismatch, NoSuchConstant, NotASubfield
+
+# largest odd-characteristic field whose addition is a q x q table
+ADD_TABLE_MAX_Q = 256
 
 
 def is_prime(n: int) -> bool:
@@ -121,6 +125,8 @@ class FieldSpec:
         self.one = 1
         self._exp = None
         self._log = None
+        self._add = None        # odd p: add/neg tables, built on first use
+        self._neg = None
         self._subfields = {}  # sub.key -> (FieldSpec, embed list, restrict dict)
 
     @property
@@ -173,6 +179,18 @@ class FieldSpec:
     def add(self, x, y):
         if self.p == 2:
             return x ^ y
+        if self._add is None:
+            self._build_add_tables()
+        return self._add[x][y] if self._add else self._add_digits(x, y)
+
+    def neg(self, x):
+        if self.p == 2:
+            return x
+        if self._add is None:
+            self._build_add_tables()
+        return self._neg[x] if self._add else self._neg_digits(x)
+
+    def _add_digits(self, x, y):
         p, acc, shift = self.p, 0, 1
         for _ in range(self.f):
             acc += ((x + y) % p) * shift
@@ -181,15 +199,23 @@ class FieldSpec:
             shift *= p
         return acc
 
-    def neg(self, x):
-        if self.p == 2:
-            return x
+    def _neg_digits(self, x):
         p, acc, shift = self.p, 0, 1
         for _ in range(self.f):
             acc += (-x % p) * shift
             x //= p
             shift *= p
         return acc
+
+    def _build_add_tables(self):
+        # odd p: the q x q sum table and the negation table, for fields up to
+        # ADD_TABLE_MAX_Q; larger fields keep the digit loops (empty table)
+        if self.q > ADD_TABLE_MAX_Q:
+            self._add, self._neg = (), ()
+            return
+        r = range(self.q)
+        self._add = [[self._add_digits(x, y) for y in r] for x in r]
+        self._neg = [self._neg_digits(x) for x in r]
 
     def sub(self, x, y):
         return self.add(x, self.neg(y))

@@ -1,5 +1,17 @@
-"""Enumerated geometric domains, orbits, randomized-then-verified
-Schreier-Sims, sifting, subgroup enumeration, solvable residual.
+"""Enumerated geometric domains, the action of semilinear maps on them,
+orbits, Schreier-Sims, sifting, subgroup enumeration, solvable residual.
+
+A vector v of F^n, F = GF(q), is coded by the int sum v[i] q^i.  Every
+domain acts through one table per semilinear element g: the array T_g of
+length q^n with T_g[code(v)] = code(v^g).  Since v |-> v^g is additive, the
+table is filled from the n(q-1) images of the vectors d e_k alone:
+T[d q^k + r] = T[r] (+) code((d e_k)^g) for r < q^k, where (+) adds codes
+digit by digit (XOR when p = 2).  A domain owns the tables of the elements
+that act on it and the permutations built from them, so each is computed at
+most once per domain and freed with it.  Points move by lookups: a vector by
+T_g, a pair by two lookups, a projective point by T_g and its normalised
+code, a refined antiflag (v, phi) by T_g on v and the table of the
+contragredient element on phi, a form by the table of g^-1 on its arguments.
 
 Permutations are lists p with point^p = p[point]; composition acts left to
 right: (point^(g*h)) = h[g[point]].
@@ -8,6 +20,9 @@ right: (point^(g*h)) = h[g[point]].
 from __future__ import annotations
 
 import random
+from array import array
+from collections import deque
+from operator import eq
 
 from .errors import (
     CapExceeded,
@@ -16,7 +31,7 @@ from .errors import (
     PointNotInDomain,
     VerificationFailed,
 )
-from .linalg import GroupElem, vec_frob, vec_mat
+from .linalg import GroupElem
 
 DEFAULT_DOMAIN_CAP = 1 << 20
 DEFAULT_ENUM_CAP = 10 ** 6
@@ -34,46 +49,32 @@ def inverse(g):
 
 
 def is_identity(g):
-    return all(i == x for i, x in enumerate(g))
+    return all(map(eq, g, range(len(g))))
 
 
-class Domain:
-    """An enumerated set of geometric objects with a GroupElem action."""
+def bfs(start, moves, cap=None):
+    """Breadth-first search from start, first in first out.
 
-    def __init__(self, kind, frame, points, act_point, cap=DEFAULT_DOMAIN_CAP):
-        if len(points) > cap:
-            raise DomainOverflow(f"domain size {len(points)} exceeds cap {cap}")
-        self.kind = kind
-        self.frame = frame
-        self.points = list(points)
-        self.index = {p: i for i, p in enumerate(self.points)}
-        self._act_point = act_point
-
-    @property
-    def size(self):
-        return len(self.points)
-
-    def act(self, g: GroupElem, point):
-        """Image of a domain point (by key) under g."""
-        return self._act_point(g, point)
-
-    def perm_of(self, g: GroupElem):
-        act = self._act_point
-        index = self.index
-        out = []
-        for p in self.points:
-            q = act(g, p)
-            j = index.get(q)
-            if j is None:
-                raise PointNotInDomain(f"{self.kind}: image of {p!r} left the domain")
-            out.append(j)
-        return out
-
-    def perms_of(self, gens):
-        return [self.perm_of(g) for g in gens]
+    moves are callables, each mapping a point to its image.  Returns a dict
+    that maps every point found, in the order found, to (parent, index of
+    the move that reached it); start maps to None.  Raises DomainOverflow
+    when a point beyond the first cap would be added.
+    """
+    tree = {start: None}
+    queue = deque((start,))
+    while queue:
+        x = queue.popleft()
+        for i, move in enumerate(moves):
+            y = move(x)
+            if y not in tree:
+                if cap is not None and len(tree) >= cap:
+                    raise DomainOverflow(f"orbit exceeded the cap {cap}")
+                tree[y] = (x, i)
+                queue.append(y)
+    return tree
 
 
-# -- vector encodings --------------------------------------------------------
+# -- vector codes and action tables ------------------------------------------
 
 
 def _encode(frame, v):
@@ -93,11 +94,102 @@ def _decode(frame, code):
     return tuple(out)
 
 
-def _vector_act(frame):
-    def act(g, code):
-        return _encode(frame, g.act(_decode(frame, code)))
+def _code_add(F):
+    """(+) on vector codes over F: XOR for p = 2, else coordinate-wise F.add."""
+    if F.p == 2:
+        return int.__xor__
+    add, q = F.add, F.q
 
-    return act
+    def code_add(x, y):
+        acc, shift = 0, 1
+        while x or y:
+            acc += add(x % q, y % q) * shift
+            x //= q
+            y //= q
+            shift *= q
+        return acc
+
+    return code_add
+
+
+def vector_table(frame, g: GroupElem):
+    """T with T[code(v)] = code(v^g) for every v in F^n (g semilinear)."""
+    F = frame.field
+    q, n = F.q, frame.n
+    plus = _code_add(F)
+    T = array("l", [0]) * q ** n
+    size = 1                                    # q^k
+    for k in range(n):
+        for d in range(1, q):
+            img = _encode(frame, g.act(tuple(d if i == k else 0 for i in range(n))))
+            base = d * size
+            for r in range(size):
+                T[base + r] = plus(T[r], img)
+        size *= q
+    return T
+
+
+def contragredient(g: GroupElem) -> GroupElem:
+    """The element phi |-> (phi A^-T)^(sigma^j) on linear forms, for g = (A, j)."""
+    return GroupElem(g.mat.inv().transpose().frob(g.frob), g.frob)
+
+
+class VectorTables(dict):
+    """Vector table per semilinear element of one frame, built on first use."""
+
+    def __init__(self, frame):
+        super().__init__()
+        self.frame = frame
+
+    def __missing__(self, g):
+        T = self[g] = vector_table(self.frame, g)
+        return T
+
+
+# -- domains -------------------------------------------------------------------
+
+
+class Domain:
+    """An enumerated set of geometric objects with a semilinear action.
+
+    image(tables, g) returns the map point -> point^g; tables is the domain's
+    VectorTables.
+    """
+
+    def __init__(self, kind, frame, points, image, cap=DEFAULT_DOMAIN_CAP, tables=None):
+        if len(points) > cap:
+            raise DomainOverflow(f"domain size {len(points)} exceeds cap {cap}")
+        self.kind = kind
+        self.frame = frame
+        self.points = list(points)
+        self.index = {p: i for i, p in enumerate(self.points)}
+        self.tables = VectorTables(frame) if tables is None else tables
+        self._image = image
+        self._perms = {}
+
+    @property
+    def size(self):
+        return len(self.points)
+
+    def perm_of(self, g: GroupElem):
+        """The permutation of the point indices induced by g (memoised)."""
+        perm = self._perms.get(g)
+        if perm is None:
+            move, index = self._image(self.tables, g), self.index
+            try:
+                perm = [index[move(p)] for p in self.points]
+            except KeyError as e:
+                msg = f"{self.kind}: the image {e.args[0]!r} left the domain"
+                raise PointNotInDomain(msg) from None
+            self._perms[g] = perm
+        return perm
+
+    def perms_of(self, gens):
+        return [self.perm_of(g) for g in gens]
+
+
+def _vector_image(tables, g):
+    return tables[g].__getitem__
 
 
 def _all_vectors(frame):
@@ -106,7 +198,7 @@ def _all_vectors(frame):
 
 def nonzero_vectors(frame, cap=DEFAULT_DOMAIN_CAP) -> Domain:
     pts = [c for c in _all_vectors(frame) if c]
-    return Domain("NonzeroVectors", frame, pts, _vector_act(frame), cap)
+    return Domain("NonzeroVectors", frame, pts, _vector_image, cap)
 
 
 def norm_level_set(frame, value, cap=DEFAULT_DOMAIN_CAP) -> Domain:
@@ -118,7 +210,7 @@ def norm_level_set(frame, value, cap=DEFAULT_DOMAIN_CAP) -> Domain:
         val = lambda v: form.bilinear(v, v)
     pts = [c for c in _all_vectors(frame) if c and val(_decode(frame, c)) == value]
     kind = f"NormLevelSet({value})"
-    return Domain(kind, frame, pts, _vector_act(frame), cap)
+    return Domain(kind, frame, pts, _vector_image, cap)
 
 
 def singular_vectors(frame, cap=DEFAULT_DOMAIN_CAP) -> Domain:
@@ -128,6 +220,7 @@ def singular_vectors(frame, cap=DEFAULT_DOMAIN_CAP) -> Domain:
 
 
 def projective_points(frame, cap=DEFAULT_DOMAIN_CAP) -> Domain:
+    """Lines of F^n, each coded by its vector with leading coordinate 1."""
     F = frame.field
 
     def normalize(v):
@@ -137,12 +230,17 @@ def projective_points(frame, cap=DEFAULT_DOMAIN_CAP) -> Domain:
         c = F.inv(lead)
         return tuple(F.mul(c, x) for x in v)
 
-    pts = sorted({_encode(frame, normalize(_decode(frame, c))) for c in _all_vectors(frame) if c})
+    norm = array("l", [0]) * F.q ** frame.n
+    for c in _all_vectors(frame):
+        if c:
+            norm[c] = _encode(frame, normalize(_decode(frame, c)))
+    pts = sorted(set(norm[1:]))
 
-    def act(g, code):
-        return _encode(frame, normalize(g.act(_decode(frame, code))))
+    def image(tables, g):
+        T = tables[g]
+        return lambda c: norm[T[c]]
 
-    return Domain("ProjectivePoints", frame, pts, act, cap)
+    return Domain("ProjectivePoints", frame, pts, image, cap)
 
 
 def refined_antiflags(frame, cap=DEFAULT_DOMAIN_CAP) -> Domain:
@@ -168,14 +266,11 @@ def refined_antiflags(frame, cap=DEFAULT_DOMAIN_CAP) -> Domain:
             if dot(v, _decode(frame, pc)) == 1:
                 pts.append((vc, pc))
 
-    def act(g, point):
-        vc, pc = point
-        v2 = g.act(_decode(frame, vc))
-        ainv_t = g.mat.inv().transpose()
-        phi2 = vec_frob(F, vec_mat(F, _decode(frame, pc), ainv_t), g.frob)
-        return (_encode(frame, v2), _encode(frame, phi2))
+    def image(tables, g):
+        T, D = tables[g], tables[contragredient(g)]
+        return lambda pt: (T[pt[0]], D[pt[1]])
 
-    return Domain("RefinedAntiflags", frame, pts, act, cap)
+    return Domain("RefinedAntiflags", frame, pts, image, cap)
 
 
 def _form_table(frame, qfun):
@@ -185,116 +280,66 @@ def _form_table(frame, qfun):
 def form_orbit(frame, seed_form, gens, cap=DEFAULT_DOMAIN_CAP) -> Domain:
     """The orbit of a quadratic form under gens of the ambient isometry group.
 
-    Forms transform by Q^g(v) = Q(v^(g^-1))^(p^j); a form is encoded by its
-    full value table on the nonzero vectors.
+    Forms transform by Q^g(v) = Q(v^(g^-1))^(p^j); a form is coded by its
+    value table on the nonzero vectors, so g moves the entries of a table by
+    the vector table of g^-1 and then applies an entrywise Frobenius.
     """
-    F = frame.field
-    codes = [c for c in _all_vectors(frame) if c]
-    pos = {c: i for i, c in enumerate(codes)}
+    fr = frame.field.frobenius
 
-    # per-element cache: the table action is a fixed index permutation
-    # (v -> v g^-1) followed by an entrywise Frobenius
-    pre_perms = {}
-
-    def pre_perm(g):
-        got = pre_perms.get(g)
-        if got is None:
-            ginv = g.inv()
-            got = [pos[_encode(frame, ginv.act(_decode(frame, c)))] for c in codes]
-            pre_perms[g] = got
-        return got
-
-    def table_act(g, table):
-        perm = pre_perm(g)
-        if g.frob % F.f == 0:
-            return tuple(table[i] for i in perm)
-        fr = F.frobenius
+    def image(tables, g):
+        T = tables[g.inv()]
+        # the value at code c (entry c - 1) is the old value at T[c]
+        pre = [T[c] - 1 for c in range(1, len(T))]
         j = g.frob
-        return tuple(fr(table[i], j) for i in perm)
+        if j == 0:
+            return lambda table: tuple(map(table.__getitem__, pre))
+        return lambda table: tuple(fr(table[i], j) for i in pre)
 
     seed = _form_table(frame, seed_form.quadratic)
-    seen = {seed}
-    queue = [seed]
-    while queue:
-        t = queue.pop(0)
-        for g in gens:
-            img = table_act(g, t)
-            if img not in seen:
-                if len(seen) >= cap:
-                    raise DomainOverflow("form orbit exceeded the configured cap")
-                seen.add(img)
-                queue.append(img)
-    pts = sorted(seen)
-    return Domain("FormOrbit", frame, pts, table_act, cap)
+    return _orbit_domain("FormOrbit", frame, seed, image, gens, cap)
+
+
+def _orbit_domain(kind, frame, seed, image, gens, cap):
+    """The domain of the sorted orbit of seed under gens; it keeps the
+    vector tables the orbit search built."""
+    tables = VectorTables(frame)
+    tree = bfs(seed, [image(tables, g) for g in gens], cap)
+    return Domain(kind, frame, sorted(tree), image, cap, tables)
+
+
+def _pair_image(tables, g):
+    T = tables[g]
+    return lambda pt: (T[pt[0]], T[pt[1]])
+
+
+def _unordered_pair_image(tables, g):
+    T = tables[g]
+
+    def move(pt):
+        u, w = T[pt[0]], T[pt[1]]
+        return (u, w) if u <= w else (w, u)
+
+    return move
 
 
 def ordered_vector_pairs(frame, seed_pair, gens, cap=DEFAULT_DOMAIN_CAP) -> Domain:
     """Orbit of an ordered vector pair (u, w) under the given generators."""
-
-    def act(g, point):
-        cu, cw = point
-        return (
-            _encode(frame, g.act(_decode(frame, cu))),
-            _encode(frame, g.act(_decode(frame, cw))),
-        )
-
     seed = (_encode(frame, seed_pair[0]), _encode(frame, seed_pair[1]))
-    seen = {seed}
-    queue = [seed]
-    while queue:
-        t = queue.pop(0)
-        for g in gens:
-            img = act(g, t)
-            if img not in seen:
-                if len(seen) >= cap:
-                    raise DomainOverflow("pair orbit exceeded the configured cap")
-                seen.add(img)
-                queue.append(img)
-    return Domain("OrderedVectorPairs", frame, sorted(seen), act, cap)
+    return _orbit_domain("OrderedVectorPairs", frame, seed, _pair_image, gens, cap)
 
 
 def unordered_vector_pairs(frame, seed_pair, gens, cap=DEFAULT_DOMAIN_CAP) -> Domain:
     """Orbit of an unordered vector pair {u, w} under the given generators."""
-
-    def key(cu, cw):
-        return (cu, cw) if cu <= cw else (cw, cu)
-
-    def act(g, point):
-        cu, cw = point
-        return key(
-            _encode(frame, g.act(_decode(frame, cu))),
-            _encode(frame, g.act(_decode(frame, cw))),
-        )
-
-    seed = key(_encode(frame, seed_pair[0]), _encode(frame, seed_pair[1]))
-    seen = {seed}
-    queue = [seed]
-    while queue:
-        t = queue.pop(0)
-        for g in gens:
-            img = act(g, t)
-            if img not in seen:
-                if len(seen) >= cap:
-                    raise DomainOverflow("pair orbit exceeded the configured cap")
-                seen.add(img)
-                queue.append(img)
-    return Domain("UnorderedVectorPairs", frame, sorted(seen), act, cap)
+    u, w = _encode(frame, seed_pair[0]), _encode(frame, seed_pair[1])
+    seed = (u, w) if u <= w else (w, u)
+    return _orbit_domain("UnorderedVectorPairs", frame, seed, _unordered_pair_image, gens, cap)
 
 
 def orbit(gens, start, dom: Domain):
     """The orbit of a domain point under GroupElem generators (BFS order)."""
-    seen = {start}
-    out = [start]
-    queue = [start]
-    while queue:
-        p = queue.pop(0)
-        for g in gens:
-            img = dom.act(g, p)
-            if img not in seen:
-                seen.add(img)
-                out.append(img)
-                queue.append(img)
-    return out
+    moves = [p.__getitem__ for p in dom.perms_of(gens)]
+    pts = dom.points
+    return [pts[i] for i in bfs(dom.index[start], moves)]
 
 
 # -- Schreier-Sims ------------------------------------------------------------
@@ -312,19 +357,10 @@ class _Level:
         self._rep_invs = {}
 
     def recompute(self):
-        self.orbit = {self.base: None}
-        self.tree = {self.base: None}
+        # the Schreier tree; its keys, in BFS order, are the orbit
+        self.tree = self.orbit = bfs(self.base, [g.__getitem__ for g in self.gens])
         self._reps = {self.base: None}
         self._rep_invs = {self.base: None}
-        queue = [self.base]
-        while queue:
-            p = queue.pop(0)
-            for gi, g in enumerate(self.gens):
-                img = g[p]
-                if img not in self.orbit:
-                    self.orbit[img] = None
-                    self.tree[img] = (p, gi)
-                    queue.append(img)
 
     def rep(self, point):
         # transversal element u with base^u = point
@@ -361,24 +397,16 @@ class StabChain:
     # construction ---------------------------------------------------------
 
     def _largest_orbit_point(self, gens):
-        seen = [False] * self.n
+        moves = [g.__getitem__ for g in gens]
+        seen = set()
         best, best_size = None, 0
         for start in range(self.n):
-            if seen[start]:
+            if start in seen:
                 continue
-            comp = [start]
-            seen[start] = True
-            qi = 0
-            while qi < len(comp):
-                p = comp[qi]
-                qi += 1
-                for g in gens:
-                    img = g[p]
-                    if not seen[img]:
-                        seen[img] = True
-                        comp.append(img)
+            comp = bfs(start, moves)
+            seen.update(comp)
             if len(comp) > best_size:
-                best, best_size = comp[0], len(comp)
+                best, best_size = start, len(comp)
         return best if best_size > 1 else None
 
     def _new_level(self, gens_here):

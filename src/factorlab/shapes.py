@@ -707,6 +707,9 @@ def _miller_rabin(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
+    """A nontrivial factor of the composite n: Brent's variant, which takes
+    one gcd per batch of steps and retraces a batch step by step when the
+    batch's product hits n."""
     import random as _random
 
     if n % 2 == 0:
@@ -714,15 +717,31 @@ def _pollard_rho(n: int) -> int:
     rng = _random.Random(n)
     while True:
         c = rng.randrange(1, n)
-        x = y = rng.randrange(2, n)
-        d = 1
+        y = rng.randrange(2, n)
+        d = r = acc = 1
         while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and d == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * abs(x - y) % n
+                d = math.gcd(acc, n)
+                k += _RHO_BATCH
+            r *= 2
+        if d == n:
+            d = 1
+            while d == 1:
+                ys = (ys * ys + c) % n
+                d = math.gcd(abs(x - ys), n)
         if d != n:
             return d
+
+
+_RHO_BATCH = 64
 
 
 def factorize(n: int) -> dict:

@@ -149,3 +149,62 @@ def test_sweep_json_matches_text_numbers(capsys):
     rep = doc["reports"][0]
     for key, val in rep["computed"].items():
         assert f"{key}={val}" in text_out
+
+
+def test_caps_parse_exactly():
+    assert cli.parse_cap("1e40") == 10 ** 40
+    assert cli.parse_cap("1e9") == 10 ** 9
+    assert cli.parse_cap("12345678901234567890123") == 12345678901234567890123
+    assert cli.parse_cap("2.5e3") == 2500
+    args = cli.build_parser().parse_args(["sweep"])
+    caps = cli._caps_from(args)
+    assert caps == {"max_order": 10 ** 40, "max_group": 10 ** 9,
+                    "max_domain": 1 << 20, "max_enum": 10 ** 6}
+    args = cli.build_parser().parse_args(["sweep", "--max-enum", "2e3"])
+    assert cli._caps_from(args)["max_enum"] == 2000
+
+
+def test_bad_cap_is_a_one_line_usage_error(capsys):
+    for bad in ("abc", "1.5", "0", "-3", "inf", "nan"):
+        code, out, err = run(capsys, "sweep", "--tier", "a", "--table", "3",
+                             "--max-order", bad)
+        assert code == 2, bad
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
+def test_malformed_genfile_is_a_one_line_usage_error(capsys, tmp_path):
+    good = tmp_path / "G.json"
+    G = gens_classical("SL", 2, 2)
+    _genfile(good, G.frame.field, 2, G.gens)
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"field": {"p": 2, ')
+    missing_key = tmp_path / "nokey.json"
+    missing_key.write_text('{"n": 2, "gens": []}')
+    for bad in (broken, missing_key):
+        code, out, err = run(capsys, "check-triple", str(good), str(bad), str(good))
+        assert code == 2
+        assert err.count("\n") == 1 and str(bad) in err, err
+
+
+def test_sweep_sub_is_passed_on(capsys):
+    code, out, _ = run(capsys, "sweep", "--tier", "a", "--table", "1", "--row", "1",
+                       "--sub", "a", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    ids = {r["case"].split("[")[0] for r in doc["reports"]}
+    assert ids == {"T1.1a"}
+    code, out, _ = run(capsys, "sweep", "--tier", "a", "--table", "1", "--row", "1",
+                       "--format", "json")
+    ids = {r["case"].split("[")[0] for r in json.loads(out)["reports"]}
+    assert ids == {"T1.1a", "T1.1b", "T1.1c"}
+
+
+def test_genfile_of_the_wrong_dimension_is_a_usage_error(capsys, tmp_path):
+    G = gens_classical("SL", 2, 2)
+    good, bad = tmp_path / "G.json", tmp_path / "bad.json"
+    _genfile(good, G.frame.field, 2, G.gens)
+    _genfile(bad, G.frame.field, 3, G.gens)  # claims n = 3 for 2 x 2 matrices
+    code, _, err = run(capsys, "check-triple", str(good), str(bad), str(good))
+    assert code == 2
+    assert err.count("\n") == 1 and str(bad) in err, err

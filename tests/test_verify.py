@@ -109,3 +109,51 @@ def test_degenerate_h_equals_g_passes(records):
     degenerate.asts["int"] = rec.asts["K"]
     r = verify_tier_a(ConcreteCase(degenerate, {"m": 2, "q": 2}))
     assert r.status == "PASS"
+
+
+def test_tier_b_scale_cap_stops_before_building(records, monkeypatch):
+    import factorlab.verify as verify
+
+    def boom(*args, **kwargs):
+        raise AssertionError("H was built although |H| exceeds max_group")
+
+    monkeypatch.setattr(verify, "_build_h", boom)
+    monkeypatch.setattr(verify, "_build_domain", boom)
+    case = next(c for c in tier_b_cases(records) if c.record.id == "T2.2")
+    r = verify_tier_b(case, seed=0, caps={"max_group": 10})
+    assert r.status == "SKIPPED(scale)"
+
+
+def test_tier_b_table_orders_are_computed_inside_the_guard(records, monkeypatch):
+    import factorlab.verify as verify
+    from factorlab.errors import NonIntegralQuotient
+
+    case = next(c for c in tier_b_cases(records) if c.record.id == "T2.2")
+    # an unbound symbol is a configuration problem, as in TIER A
+    r = verify_tier_b(ConcreteCase(case.record, {"m": 2}), seed=0)
+    assert r.status.startswith("SKIPPED(config:")
+
+    def bad_order(shape, bindings):
+        raise NonIntegralQuotient("3/2")
+
+    monkeypatch.setattr(verify, "order_of", bad_order)
+    r = verify_tier_b(case, seed=0)
+    assert r.status == "FAIL" and r.detail == "construction: 3/2"
+    assert r.expected == {}
+    json.dumps(r.to_json())
+
+
+def test_tier_b_internal_error_is_a_per_case_fail(records, monkeypatch):
+    import factorlab.verify as verify
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "_build_domain", broken)
+    reports, summary = sweep(records, tier="b", table=2, row=2)
+    assert summary["cases"] == len(reports) == 3  # the sweep went on
+    assert summary["fail"] == 3
+    for r in reports:
+        assert r.status == "FAIL"
+        # the innermost frame is named, here the patched-in function
+        assert r.detail.startswith("internal: RuntimeError: boom (test_verify.py:")

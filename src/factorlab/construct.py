@@ -252,22 +252,47 @@ _SMALL_GROUP_CACHE = {}
 
 
 def _small_isometry_group(frame, det_one=False):
-    """Brute-force the full isometry group of a tiny frame (cached)."""
+    """The full isometry group of a tiny frame, in the lexicographic order of
+    the matrix entries (cached).
+
+    Row k of an isometry is the image of e_k, so the rows are chosen one at
+    a time and a partial matrix is kept only while beta(row_i, row_k) is the
+    Gram entry (i, k) for every i <= k and, for a quadratic form,
+    Q(row_k) = Q(e_k).
+    """
     F = frame.field
     n = frame.n
-    key = (F.key, n, frame.form.kind, det_one)
+    form = frame.form
+    key = (F.key, n, form.kind, det_one)
     if key in _SMALL_GROUP_CACHE:
         return _SMALL_GROUP_CACHE[key]
     from itertools import product
 
+    vectors = list(product(F.elements(), repeat=n))
+    gram = form.gram.rows
+
+    def fits(rows, v):
+        k = len(rows)
+        if form.kind == "quadratic" and form.quadratic(v) != form.qdiag[k]:
+            return False
+        return all(form.bilinear(u, v) == gram[i][k] for i, u in enumerate(rows + [v]))
+
     out = []
-    for flat in product(F.elements(), repeat=n * n):
-        m = MatF(F, [flat[i * n : (i + 1) * n] for i in range(n)])
+
+    def extend(rows):
+        if len(rows) < n:
+            for v in vectors:
+                if fits(rows, v):
+                    extend(rows + [v])
+            return
+        m = MatF(F, rows)
         if m.det() == 0 or (det_one and m.det() != 1):
-            continue
+            return
         g = GroupElem(m)
-        if is_isometry(g, frame.form):
+        if is_isometry(g, form):
             out.append(g)
+
+    extend([])
     _SMALL_GROUP_CACHE[key] = out
     return out
 

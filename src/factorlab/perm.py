@@ -14,7 +14,13 @@ code, a refined antiflag (v, phi) by T_g on v and the table of the
 contragredient element on phi, a form by the table of g^-1 on its arguments.
 
 Permutations are lists p with point^p = p[point]; composition acts left to
-right: (point^(g*h)) = h[g[point]].
+right: (point^(g*h)) = h[g[point]].  Sifting acts on words, lists of
+permutations whose product is never formed unless it has to be kept: a
+level's base point is followed through the word by lookups.  A domain may
+carry a known base, points that only the identity of GammaL(V) fixes (for
+nonzero vectors: e_1..e_n and, over a proper extension of GF(p), x e_1);
+then a word of group elements that sifts through every level is the
+identity exactly when it fixes those few points.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import random
 from array import array
 from collections import deque
+from itertools import product
 from operator import eq
 
 from .errors import (
@@ -50,6 +57,20 @@ def inverse(g):
 
 def is_identity(g):
     return all(map(eq, g, range(len(g))))
+
+
+def _product(word, n):
+    """The product of a word of permutations of n points, left to right."""
+    cur = list(word[0]) if word else list(range(n))
+    for g in word[1:]:
+        cur = compose(cur, g)
+    return cur
+
+
+def _image(point, word):
+    for g in word:
+        point = g[point]
+    return point
 
 
 def bfs(start, moves, cap=None):
@@ -153,16 +174,20 @@ class Domain:
     """An enumerated set of geometric objects with a semilinear action.
 
     image(tables, g) returns the map point -> point^g; tables is the domain's
-    VectorTables.
+    VectorTables.  known_base, when given, lists points that only the
+    identity of GammaL(V) fixes; it is kept as point indices, the form the
+    stabilizer chains use, or None.
     """
 
-    def __init__(self, kind, frame, points, image, cap=DEFAULT_DOMAIN_CAP, tables=None):
+    def __init__(self, kind, frame, points, image, cap=DEFAULT_DOMAIN_CAP, tables=None,
+                 known_base=None):
         if len(points) > cap:
             raise DomainOverflow(f"domain size {len(points)} exceeds cap {cap}")
         self.kind = kind
         self.frame = frame
         self.points = list(points)
         self.index = {p: i for i, p in enumerate(self.points)}
+        self.known_base = None if known_base is None else [self.index[p] for p in known_base]
         self.tables = VectorTables(frame) if tables is None else tables
         self._image = image
         self._perms = {}
@@ -197,8 +222,14 @@ def _all_vectors(frame):
 
 
 def nonzero_vectors(frame, cap=DEFAULT_DOMAIN_CAP) -> Domain:
+    """Nonzero vectors, with the known base e_1..e_n plus, when f > 1, x e_1
+    for the field element x coded p.  A map v |-> v^sigma A fixing every e_i
+    has A = I; fixing x e_1 too gives x^sigma = x, and x generates GF(q)
+    over GF(p), so sigma = 1."""
+    F = frame.field
     pts = [c for c in _all_vectors(frame) if c]
-    return Domain("NonzeroVectors", frame, pts, _vector_image, cap)
+    base = [F.q ** i for i in range(frame.n)] + ([F.p] if F.f > 1 else [])
+    return Domain("NonzeroVectors", frame, pts, _vector_image, cap, known_base=base)
 
 
 def norm_level_set(frame, value, cap=DEFAULT_DOMAIN_CAP) -> Domain:
@@ -384,15 +415,21 @@ class _Level:
 
 
 class StabChain:
-    """Base and strong generating set for a permutation group."""
+    """Base and strong generating set for a permutation group.
 
-    def __init__(self, gens, n_points, seed=0, target_order=None, verify=True):
+    known_base, when given, lists points that only the identity of the
+    ambient group fixes; every permutation the chain is built from or asked
+    about must then lie in that group (Domain.known_base).
+    """
+
+    def __init__(self, gens, n_points, seed=0, target_order=None, known_base=None):
         self.n = n_points
         self.gens = [list(g) for g in gens if not is_identity(g)]
         self.seed = seed
+        self.known_base = known_base
         self.levels = []
         self._rng = random.Random(seed * 1000003 + n_points * 101 + len(self.gens))
-        self._build(target_order, verify)
+        self._build(target_order)
 
     # construction ---------------------------------------------------------
 
@@ -431,25 +468,34 @@ class StabChain:
             lvl.recompute()
         return True
 
-    def _sift_index(self, g):
-        """(residue, level) where level is the first failure depth."""
-        cur = list(g)
-        for i, lvl in enumerate(self.levels):
-            img = cur[lvl.base]
+    def _sift(self, word, start=0):
+        """Sift the product of word through the levels from start on.
+
+        word is a list of permutations, applied left to right; its product
+        must fix the first start base points.  Returns (residue, level): the
+        residue is word extended by inverse transversal elements, and level
+        is None when the product is in the group, else the first depth the
+        residue fails at.  No product is formed when the chain has a known
+        base: the verdict follows base points through the word.
+        """
+        word = list(word)
+        levels = self.levels
+        for i in range(start, len(levels)):
+            lvl = levels[i]
+            img = _image(lvl.base, word)
             if img == lvl.base:
                 continue
             if img not in lvl.orbit:
-                return cur, i
-            cur = compose(cur, lvl.rep_inv(img))
-        return cur, len(self.levels)
-
-    def sift(self, g):
-        """The residue after sifting; identity iff g is in the group."""
-        cur, _ = self._sift_index(g)
-        return cur
+                return word, i
+            word.append(lvl.rep_inv(img))
+        if self.known_base is None:
+            member = is_identity(_product(word, self.n))
+        else:
+            member = all(_image(x, word) == x for x in self.known_base)
+        return word, (None if member else len(levels))
 
     def contains(self, g):
-        return is_identity(self.sift(g))
+        return self._sift([g])[1] is None
 
     def order(self) -> int:
         acc = 1
@@ -457,11 +503,13 @@ class StabChain:
             acc *= len(lvl.orbit)
         return acc
 
-    def _absorb(self, g):
-        """Sift g and, if nontrivial, record the residue as a strong generator."""
-        cur, idx = self._sift_index(g)
-        if is_identity(cur):
+    def _absorb(self, word, start=0):
+        """Sift word from level start on and, if it is not in the group,
+        record the residue as a strong generator."""
+        word, idx = self._sift(word, start)
+        if idx is None:
             return False
+        cur = _product(word, self.n)
         # the residue fixes the first idx base points; it may also fix deeper
         # ones, in which case push it down as far as it goes
         while idx < len(self.levels) and cur[self.levels[idx].base] == self.levels[idx].base:
@@ -471,20 +519,20 @@ class StabChain:
 
     def _random_word(self):
         k = self._rng.randrange(2, 6)
-        w = None
+        word = []
         pool = self.gens
         for _ in range(k):
             g = pool[self._rng.randrange(len(pool))]
             if self._rng.random() < 0.5:
                 g = inverse(g)
-            w = list(g) if w is None else compose(w, g)
-        return w
+            word.append(g)
+        return word
 
-    def _build(self, target_order, verify):
+    def _build(self, target_order):
         if not self.gens:
             return
         for g in self.gens:
-            self._absorb(g)
+            self._absorb([g])
         if target_order is not None:
             attempts = 0
             accum = [list(g) for g in self.gens[: max(3, min(len(self.gens), 8))]]
@@ -501,7 +549,7 @@ class StabChain:
                 if self._rng.random() < 0.5:
                     g = inverse(g)
                 accum[i] = compose(accum[i], g)
-                self._absorb(accum[i])
+                self._absorb([accum[i]])
                 if self.order() > target_order:
                     raise VerificationFailed(
                         f"order {self.order()} exceeds target {target_order}"
@@ -513,6 +561,8 @@ class StabChain:
         self._schreier_closure()
 
     def _schreier_closure(self):
+        """Sift every Schreier generator u_p g u_(p^g)^-1 of every level below
+        that level until none adds a strong generator."""
         changed = True
         while changed:
             changed = False
@@ -521,42 +571,14 @@ class StabChain:
                 for p in list(lvl.orbit):
                     up = lvl.rep(p)
                     for g in lvl.gens:
-                        img = g[p]
-                        word = list(g) if up is None else compose(up, g)
-                        u2i = lvl.rep_inv(img)
+                        word = [g] if up is None else [up, g]
+                        u2i = lvl.rep_inv(g[p])
                         if u2i is not None:
-                            word = compose(word, u2i)
-                        if is_identity(word):
-                            continue
-                        cur, idx = self._tail_sift(word, i + 1)
-                        if not is_identity(cur):
-                            while (
-                                idx < len(self.levels)
-                                and cur[self.levels[idx].base] == self.levels[idx].base
-                            ):
-                                idx += 1
-                            self._add_gen(max(idx, i + 1), cur)
+                            word.append(u2i)
+                        if self._absorb(word, i + 1):
                             changed = True
-            if changed:
-                continue
-        return
-
-    def _tail_sift(self, g, start):
-        cur = list(g)
-        for i in range(start, len(self.levels)):
-            lvl = self.levels[i]
-            img = cur[lvl.base]
-            if img == lvl.base:
-                continue
-            if img not in lvl.orbit:
-                return cur, i
-            cur = compose(cur, lvl.rep_inv(img))
-        return cur, len(self.levels)
 
     # derived data ----------------------------------------------------------
-
-    def base_points(self):
-        return [lvl.base for lvl in self.levels]
 
     def strong_gens(self):
         out = []
@@ -596,6 +618,15 @@ class StabChain:
 
         yield from rec(len(self.levels) - 1, ident)
 
+    def words(self, cap=DEFAULT_ENUM_CAP):
+        """Iterate all elements as words of transversal elements, in the
+        order of elements(), without forming their products."""
+        if self.order() > cap:
+            raise CapExceeded(f"group order {self.order()} exceeds cap {cap}")
+        per_level = [[lvl.rep(p) for p in lvl.orbit] for lvl in reversed(self.levels)]
+        for choice in product(*per_level):
+            yield [u for u in choice if u is not None]
+
     def coset_key(self, g):
         """Canonical key of the right coset (this group) * g."""
         cur = list(g)
@@ -617,24 +648,22 @@ def bsgs(gens, dom: Domain, seed=0, target_order=None) -> StabChain:
     for g, p in zip(gens, perms):
         if is_identity(p) and not g.is_identity():
             raise NotFaithful("a nontrivial generator acts trivially")
-    return StabChain(perms, dom.size, seed=seed, target_order=target_order)
+    return StabChain(perms, dom.size, seed=seed, target_order=target_order,
+                     known_base=dom.known_base)
 
 
 def enumerate_and_sift(H: StabChain, K: StabChain, cap=DEFAULT_ENUM_CAP) -> int:
-    """|H meet K| by enumerating H and sifting through K's chain."""
+    """|H meet K| by enumerating H as words and sifting them through K's chain."""
     if H.n != K.n:
         raise ValueError("chains act on different domains")
-    count = 0
-    for g in H.elements(cap):
-        if K.contains(g):
-            count += 1
-    return count
+    return sum(1 for word in H.words(cap) if K._sift(word)[1] is None)
 
 
-def normal_closure(seeds, conjugators, n_points, seed=0, cap=DEFAULT_ENUM_CAP):
+def normal_closure(seeds, conjugators, n_points, seed=0, cap=DEFAULT_ENUM_CAP,
+                   known_base=None):
     """Chain for the normal closure of seeds under the given conjugators."""
     gens = []
-    chain = StabChain([], n_points, seed=seed)
+    chain = StabChain([], n_points, seed=seed, known_base=known_base)
     queue = [list(s) for s in seeds if not is_identity(s)]
     conj_pairs = [(list(c), inverse(c)) for c in conjugators]
     while queue:
@@ -642,7 +671,7 @@ def normal_closure(seeds, conjugators, n_points, seed=0, cap=DEFAULT_ENUM_CAP):
         if chain.contains(g):
             continue
         gens.append(g)
-        chain = StabChain(gens, n_points, seed=seed)
+        chain = StabChain(gens, n_points, seed=seed, known_base=known_base)
         if chain.order() > cap:
             raise CapExceeded("normal closure exceeded the enumeration cap")
         for c, ci in conj_pairs:
@@ -650,7 +679,7 @@ def normal_closure(seeds, conjugators, n_points, seed=0, cap=DEFAULT_ENUM_CAP):
     return chain
 
 
-def derived_chain(gens_perms, n_points, seed=0, cap=DEFAULT_ENUM_CAP):
+def derived_chain(gens_perms, n_points, seed=0, cap=DEFAULT_ENUM_CAP, known_base=None):
     """Chain for the derived subgroup of the group generated by gens_perms."""
     comms = []
     for i, a in enumerate(gens_perms):
@@ -659,17 +688,18 @@ def derived_chain(gens_perms, n_points, seed=0, cap=DEFAULT_ENUM_CAP):
             c = compose(compose(ai, inverse(b)), compose(a, b))
             if not is_identity(c):
                 comms.append(c)
-    return normal_closure(comms, gens_perms, n_points, seed=seed, cap=cap)
+    return normal_closure(comms, gens_perms, n_points, seed=seed, cap=cap,
+                          known_base=known_base)
 
 
 def solvable_residual(gens, dom: Domain, seed=0, cap=DEFAULT_ENUM_CAP) -> StabChain:
     """Chain for the last term of the derived series of <gens>."""
     perms = dom.perms_of(gens)
-    chain = StabChain(perms, dom.size, seed=seed)
+    chain = StabChain(perms, dom.size, seed=seed, known_base=dom.known_base)
     cur_gens = perms
     cur_order = chain.order()
     while True:
-        nxt = derived_chain(cur_gens, dom.size, seed=seed, cap=cap)
+        nxt = derived_chain(cur_gens, dom.size, seed=seed, cap=cap, known_base=dom.known_base)
         if nxt.order() == cur_order:
             return nxt
         if nxt.order() == 1:

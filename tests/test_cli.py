@@ -105,6 +105,26 @@ def test_check_triple_antiflag_factorization(capsys, tmp_path):
     assert "orderInt = 1" in out and "factorization = True" in out
 
 
+def test_check_triple_sp6_3_residual_factorization(capsys, tmp_path):
+    # G = Sp_6(3), H = Sp_2(27).3, K = the solvable residual of P_1, as in
+    # the triple_sp6q3 benchmark workload
+    from factorlab.construct import ext_field_subgroup, parabolic_p1_sp_residual
+
+    G = gens_classical("Sp", 6, 3)
+    H, _, _ = ext_field_subgroup("Sp", 1, 3, 3)
+    K, _ = parabolic_p1_sp_residual(3, 3)
+    paths = []
+    for name, spec in zip("GHK", (G, H, K)):
+        paths.append(tmp_path / f"{name}.json")
+        _genfile(paths[-1], spec.frame.field, spec.n, spec.gens)
+    code, out, _ = run(capsys, "check-triple", *map(str, paths), "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "orderG": "9170703360", "orderH": "19656", "orderK": "12597120",
+        "orderInt": "27", "factorization": True,
+    }
+
+
 def test_check_triple_non_factorization(capsys, tmp_path):
     # H = K = a point stabilizer: |H||K| != |G||H^K|
     F2 = FieldSpec.get(2)

@@ -254,3 +254,40 @@ def test_adjoin_index_check():
     # adjoining the identity changes nothing
     ident = blowup_elem(frobenius_elem(sl24.frame, 0), F2)
     adjoin(big, ident, dom=dom, expected_index=1)
+
+
+def _brute_force_isometries(frame, det_one):
+    """Every n x n matrix over the field, in lexicographic order, kept when
+    it is an invertible isometry (of determinant 1 if det_one)."""
+    from itertools import product
+
+    F, n = frame.field, frame.n
+    out = []
+    for flat in product(F.elements(), repeat=n * n):
+        m = MatF(F, [flat[i * n : (i + 1) * n] for i in range(n)])
+        if m.det() == 0 or (det_one and m.det() != 1):
+            continue
+        g = GroupElem(m)
+        if is_isometry(g, frame.form):
+            out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("det_one", [False, True])
+def test_small_isometry_group_matches_brute_force(monkeypatch, det_one):
+    import factorlab.construct as construct
+    from factorlab.linalg import SpaceFrame
+
+    monkeypatch.setattr(construct, "_SMALL_GROUP_CACHE", {})
+    F2, F3, F4 = FieldSpec.get(2), FieldSpec.get(3), FieldSpec.get(4)
+    frames = [
+        SpaceFrame.hermitian(F4, 2),
+        SpaceFrame.symplectic(F3, 1),
+        SpaceFrame.quadratic(F2, 2, "-"),
+        SpaceFrame.quadratic(F3, 2, "+"),
+        SpaceFrame.quadratic(F3, 3, "odd"),
+    ]
+    for frame in frames:
+        got = construct._small_isometry_group(frame, det_one=det_one)
+        assert got == _brute_force_isometries(frame, det_one), frame.form.kind
+        assert got

@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from factorlab.construct import frobenius_elem, gens_classical
 from factorlab.errors import CapExceeded
 from factorlab.gf import FieldSpec
 from factorlab.linalg import GroupElem, MatF, SpaceFrame
 from factorlab.perm import (
     StabChain,
+    _product,
     bsgs,
     compose,
     derived_chain,
@@ -253,3 +255,129 @@ def test_unordered_pair_orbit():
     assert dom.size == 60
     chain = bsgs(sp.gens, dom, seed=0)
     assert chain.order() == 720  # still faithful here
+
+
+# -- known base and word sifting ---------------------------------------------------
+
+
+def _primitive(F):
+    return next(w for w in range(2, F.q) if len({F.pow(w, k) for k in range(F.q - 1)}) == F.q - 1)
+
+
+def _gamma_l_gens(F, n):
+    """Generators of GammaL(n, q): transvections e_i + a e_j for a in {1, x},
+    diag(w, 1, ..., 1) for a primitive w, and the Frobenius map."""
+    def unit(i, j, a=1):
+        return [[a if (r, c) == (i, j) else int(r == c) for c in range(n)] for r in range(n)]
+
+    coeffs = [1] if F.f == 1 else [1, F.p]
+    gens = [elem(F, unit(i, j, a)) for i in range(n) for j in range(n) if i != j for a in coeffs]
+    if F.q > 2:
+        gens.append(elem(F, unit(0, 0, _primitive(F))))
+    if F.f > 1:
+        gens.append(GroupElem(MatF.identity(F, n), 1))
+    return gens
+
+
+def _gamma_l_order(F, n):
+    order = F.f
+    for i in range(n):
+        order *= F.q ** n - F.q ** i
+    return order
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (9, 2), (2, 3), (3, 3)])
+def test_only_the_identity_fixes_the_known_base(q, n):
+    F = FieldSpec.get(q)
+    dom = nonzero_vectors(SpaceFrame(F, n, None, tuple(f"v{i}" for i in range(n))))
+    assert len(dom.known_base) == n + (F.f > 1)
+    # the whole of GammaL(n, q), frob != 0 included, built without the base
+    chain = StabChain(dom.perms_of(_gamma_l_gens(F, n)), dom.size)
+    assert chain.order() == _gamma_l_order(F, n)
+    base = dom.known_base
+    fixing = [g for g in chain.elements() if all(g[x] == x for x in base)]
+    assert fixing == [list(range(dom.size))]
+
+
+def test_frobenius_fixes_every_basis_vector_but_not_x_e1():
+    F = FieldSpec.get(4)
+    for n in (2, 3):
+        dom = nonzero_vectors(SpaceFrame(F, n, None, tuple(f"v{i}" for i in range(n))))
+        phi = dom.perm_of(GroupElem(MatF.identity(F, n), 1))
+        *basis, x_e1 = dom.known_base
+        assert not is_identity(phi)
+        # so a base of e_1..e_n alone would take phi for the identity
+        assert all(phi[b] == b for b in basis)
+        assert phi[x_e1] != x_e1
+
+
+def test_proper_subgroup_chain_rejects_outside_elements():
+    F, gens = sl2_4_gens()
+    dom = nonzero_vectors(SpaceFrame.symplectic(F, 1))
+    chain = bsgs(gens, dom, seed=0)
+    assert [dom.points[lvl.base] for lvl in chain.levels] == [1, 4]  # e_1, e_2
+    # the Frobenius map fixes both base points of SL_2(4), so it passes every
+    # level; only x e_1 of the known base tells it from the identity
+    phi = dom.perm_of(GroupElem(MatF.identity(F, 2), 1))
+    word, level = chain._sift([phi])
+    assert level == len(chain.levels) and word == [phi]
+    assert not chain.contains(phi)
+    # the scalar w I is stopped at a level already
+    scalar = dom.perm_of(elem(F, ((2, 0), (0, 2))))
+    assert chain._sift([scalar])[1] == 1
+    assert not chain.contains(scalar)
+    assert all(chain.contains(dom.perm_of(g)) for g in gens)
+
+
+# one frame each over GF(2), GF(3), GF(4) and GF(9), with a frob != 0 element
+SUBGROUP_FRAMES = [("Sp", 4, 2), ("Sp", 4, 3), ("SU", 4, 2), ("SU", 3, 3)]
+
+
+def _ambient(fam, n, q):
+    spec = gens_classical(fam, n, q)
+    gens = list(spec.gens)
+    if spec.frame.field.f > 1:
+        gens.append(frobenius_elem(spec.frame, 1))
+    dom = nonzero_vectors(spec.frame)
+    return dom, StabChain(dom.perms_of(gens), dom.size)
+
+
+def _levels(chain):
+    return [(lvl.base, lvl.gens, list(lvl.orbit)) for lvl in chain.levels]
+
+
+@pytest.mark.parametrize("fam,n,q", SUBGROUP_FRAMES)
+def test_known_base_leaves_the_chain_unchanged(fam, n, q):
+    dom, ambient = _ambient(fam, n, q)
+    rng = random.Random(11)
+    for seed in range(3):
+        gens = [ambient.random_element(rng) for _ in range(rng.randrange(1, 3))]
+        plain = StabChain(gens, dom.size, seed=seed)
+        based = StabChain(gens, dom.size, seed=seed, known_base=dom.known_base)
+        assert _levels(based) == _levels(plain)
+        target = plain.order()
+        plain = StabChain(gens, dom.size, seed=seed, target_order=target)
+        based = StabChain(gens, dom.size, seed=seed, target_order=target,
+                          known_base=dom.known_base)
+        assert _levels(based) == _levels(plain)
+
+
+@pytest.mark.parametrize("fam,n,q", SUBGROUP_FRAMES)
+def test_enumerate_and_sift_on_words_matches_full_permutations(fam, n, q):
+    dom, ambient = _ambient(fam, n, q)
+    base = dom.known_base
+    rng = random.Random(5)
+    for seed in range(3):
+        a, b = ambient.random_element(rng), ambient.random_element(rng)
+        H = StabChain([a, b], dom.size, seed=seed, known_base=base)
+        if H.order() > 2000:
+            H = StabChain([a], dom.size, seed=seed, known_base=base)
+        c, d = ambient.random_element(rng), ambient.random_element(rng)
+        k_gens = [[c], [a, c], [c, d]][seed]
+        K = StabChain(k_gens, dom.size, seed=seed, known_base=base)
+        K_plain = StabChain(k_gens, dom.size, seed=seed)
+        elements = list(H.elements())
+        assert [_product(w, dom.size) for w in H.words()] == elements
+        expected = sum(1 for g in elements if K_plain.contains(g))
+        assert enumerate_and_sift(H, K) == expected
+        assert enumerate_and_sift(H, ambient) == H.order()

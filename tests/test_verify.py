@@ -157,3 +157,15 @@ def test_tier_b_internal_error_is_a_per_case_fail(records, monkeypatch):
         assert r.status == "FAIL"
         # the innermost frame is named, here the patched-in function
         assert r.detail.startswith("internal: RuntimeError: boom (test_verify.py:")
+
+
+def test_tier_b_unbound_recipe_symbol_is_skipped_and_the_sweep_goes_on(records):
+    rec = next(r for r in records if r.id == "T2.2")
+    patched = copy.copy(rec)
+    patched.tier_b = {**rec.tier_b, "bindings": [{"m": 2}]}  # q is unbound
+    quick = next(r for r in records if r.id == "T1.1b")
+    reports, summary = sweep([patched, quick], tier="b")
+    assert [r.case_id for r in reports] == ["T2.2[m=2]", "T1.1b[a=4,b=1,c=2,q=2]"]
+    assert reports[0].status.startswith("SKIPPED(config:")
+    assert reports[1].status == "PASS"
+    assert summary["skipped"] == 1 and summary["pass"] == 1

@@ -329,7 +329,8 @@ def test_proper_subgroup_chain_rejects_outside_elements():
     assert all(chain.contains(dom.perm_of(g)) for g in gens)
 
 
-# one frame each over GF(2), GF(3), GF(4) and GF(9), with a frob != 0 element
+# one frame each over GF(2), GF(3), GF(4) and GF(9); the ambient group has a
+# frob != 0 element where the field has one
 SUBGROUP_FRAMES = [("Sp", 4, 2), ("Sp", 4, 3), ("SU", 4, 2), ("SU", 3, 3)]
 
 

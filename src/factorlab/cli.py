@@ -17,6 +17,7 @@ from .perm import bsgs, enumerate_and_sift, nonzero_vectors
 from .tables import admissible_bindings, load_db
 from .verify import (
     DEFAULT_CAPS,
+    summarize,
     sweep,
     summary_line,
     tier_b_cases,
@@ -218,13 +219,7 @@ def cmd_verify(args):
     if not reports:
         print("no admissible case matches the bindings", file=sys.stderr)
         return 2
-    summary = {
-        "tables": len({r.case_id.split(".")[0] for r in reports}),
-        "cases": len(reports),
-        "pass": sum(1 for r in reports if r.status == "PASS"),
-        "fail": sum(1 for r in reports if r.status == "FAIL"),
-        "skipped": sum(1 for r in reports if r.status.startswith("SKIPPED")),
-    }
+    summary = summarize(reports)
     _render(args, reports, summary)
     return 1 if summary["fail"] else 0
 

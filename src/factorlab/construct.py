@@ -200,51 +200,37 @@ def _isotropic_points(frame):
 
 
 def _su_gens(frame, rich=False):
+    """A small generating set of SU(n, q) over a hermitian frame.
+
+    n = 2: every isotropic transvection (the root groups of SU_2(q) = SL_2(q)).
+    n >= 3: four isotropic transvections, evenly strided through the list of
+    all of them, and one diagonal element of determinant 1.  SU_3(2) is not
+    generated by its transvections; six of its 216 elements, evenly strided,
+    are used instead.  The tests prove by untargeted chains that each set in
+    use generates the whole group.
+    """
     F = frame.field
+    n = frame.n
     half = F.f // 2
     q0 = F.p ** half
-    form = frame.form
-    if frame.n == 3 and q0 == 2:
-        # SU_3(2) is not generated by its isotropic transvections; it is tiny,
-        # so list it outright
-        return _small_isometry_group(frame, det_one=True)
-    gens, seen = [], set()
-    for u in _isotropic_points(frame):
-        for lam in _trace_zero_basis(F, half):
-            g = _form_transvection(frame, u, lam)
-            if g not in seen and not g.is_identity():
-                seen.add(g)
-                gens.append(g)
-    n = frame.n
+    if n == 3 and q0 == 2:
+        group = _small_isometry_group(frame, det_one=True)
+        return group[:: len(group) // 6]
+    lams = _trace_zero_basis(F, half)
+    pairs = [(u, lam) for u in _isotropic_points(frame) for lam in lams]
+    if n == 2:
+        return [_form_transvection(frame, u, lam) for u, lam in pairs]
+    gens = [_form_transvection(frame, u, lam)
+            for u, lam in pairs[:: max(1, len(pairs) // 4)][:4]]
     if F._exp is None:
         F._build_tables()
     alpha = F.generator
     conj_inv = F.inv(F.frobenius(alpha, half))
-    if n % 2 == 0 and n >= 4:
-        diag = [alpha, conj_inv, F.inv(alpha), F.frobenius(alpha, half)] + [1] * (n - 4)
-        gens.append(GroupElem(MatF(F, [vec_scale(F, diag[i], _unit(n, i)) for i in range(n)])))
-    elif n % 2:
+    if n % 2:
         diag = [alpha, conj_inv] + [1] * (n - 3) + [F.pow(alpha, q0 - 1)]
-        gens.append(GroupElem(MatF(F, [vec_scale(F, diag[i], _unit(n, i)) for i in range(n)])))
-    # a few elements of the unitary group of the first hyperbolic plane,
-    # det-corrected into SU (the order gate certifies sufficiency)
-    plane = _gu2_elements(F, half)
-    step = max(1, len(plane) // 8)
-    for g2 in plane[::step]:
-        det = g2.det()
-        rows = [list(_unit(n, i)) for i in range(n)]
-        for i in range(2):
-            for j in range(2):
-                rows[i][j] = g2.rows[i][j]
-        if det != 1:
-            if n % 2:
-                # scale d by det^-1 (a norm-one scalar, so the form survives)
-                rows[n - 1][n - 1] = F.inv(det)
-            else:
-                mu = next(x for x in F.elements() if x and F.pow(x, q0 - 1) == det)
-                rows[2][2] = mu
-                rows[3][3] = F.inv(F.frobenius(mu, half))
-        gens.append(GroupElem(MatF(F, map(tuple, rows))))
+    else:
+        diag = [alpha, conj_inv, F.inv(alpha), F.frobenius(alpha, half)] + [1] * (n - 4)
+    gens.append(GroupElem(MatF(F, [vec_scale(F, diag[i], _unit(n, i)) for i in range(n)])))
     return gens
 
 
@@ -294,34 +280,6 @@ def _small_isometry_group(frame, det_one=False):
 
     extend([])
     _SMALL_GROUP_CACHE[key] = out
-    return out
-
-
-_GU2_CACHE = {}
-
-
-def _gu2_elements(F, half):
-    """All of GU_2 on a hyperbolic plane (tiny; used to top up the SU gens)."""
-    key = F.key
-    if key in _GU2_CACHE:
-        return _GU2_CACHE[key]
-    out = []
-    for a in F.elements():
-        for b in F.elements():
-            for c in F.elements():
-                for d in F.elements():
-                    m = MatF(F, ((a, b), (c, d)))
-                    if m.det() == 0:
-                        continue
-                    conj = lambda x: F.frobenius(x, half)
-                    # preserve beta(x, y) = x1 conj(y2) + x2 conj(y1)
-                    if (
-                        F.add(F.mul(a, conj(b)), F.mul(b, conj(a))) == 0
-                        and F.add(F.mul(c, conj(d)), F.mul(d, conj(c))) == 0
-                        and F.add(F.mul(a, conj(d)), F.mul(b, conj(c))) == 1
-                    ):
-                        out.append(m)
-    _GU2_CACHE[key] = out
     return out
 
 
@@ -889,13 +847,6 @@ def twisted_frobenius(frame: SpaceFrame, j: int = 1) -> GroupElem:
     if not is_isometry(g, frame.form):
         raise VerificationFailed("twisted Frobenius gate failed")
     return g
-
-
-def sigma_swap(frame: SpaceFrame) -> GroupElem:
-    """Swap e_i with e_{l+i} and f_i with f_{l+i}, where m = 2l."""
-    n = frame.n
-    rows = [_unit(n, (i + n // 2) % n) for i in range(n)]
-    return GroupElem(MatF(frame.field, rows))
 
 
 def adjoin(gens, elem: GroupElem, dom=None, expected_index=None, seed=0):

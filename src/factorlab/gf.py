@@ -127,6 +127,7 @@ class FieldSpec:
         self._log = None
         self._add = None        # odd p: add/neg tables, built on first use
         self._neg = None
+        self._half_add = {}     # odd p: h -> addition table of h-digit vector codes
         self._subfields = {}  # sub.key -> (FieldSpec, embed list, restrict dict)
 
     @property
@@ -330,9 +331,6 @@ class FieldSpec:
         restrict = {v: i for i, v in enumerate(embed)}
         self._subfields[sub.key] = (sub, embed, restrict)
 
-    def has_subfield(self, sub: "FieldSpec") -> bool:
-        return sub.key in self._subfields
-
     def embed(self, x, sub: "FieldSpec"):
         """Image in self of x in the registered subfield sub."""
         try:
@@ -350,12 +348,6 @@ class FieldSpec:
             raise NotASubfield(f"element {x} of {self} is not in {sub}")
         return table[x]
 
-    def in_subfield(self, x, sub: "FieldSpec") -> bool:
-        try:
-            return x in self._subfields[sub.key][2]
-        except KeyError:
-            raise NotASubfield(f"{sub} is not registered in {self}") from None
-
     def trace_to(self, x, sub: "FieldSpec"):
         """Relative trace sum x^(q0^i) into the registered subfield."""
         if sub.key not in self._subfields:
@@ -365,17 +357,6 @@ class FieldSpec:
         t = x
         for _ in range(b):
             acc = self.add(acc, t)
-            t = self.frobenius(t, sub.f)
-        return self.restrict(acc, sub)
-
-    def norm_to(self, x, sub: "FieldSpec"):
-        if sub.key not in self._subfields:
-            raise NotASubfield(f"{sub} is not registered in {self}")
-        b = self.f // sub.f
-        acc = 1
-        t = x
-        for _ in range(b):
-            acc = self.mul(acc, t)
             t = self.frobenius(t, sub.f)
         return self.restrict(acc, sub)
 

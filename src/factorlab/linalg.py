@@ -294,17 +294,6 @@ class FormSpec:
                         acc = F.add(acc, F.mul(a, F.mul(row[j], b)))
         return acc
 
-    def eval(self, u, v=None):
-        if self.kind == "quadratic" and v is None:
-            return self.quadratic(u)
-        if v is None:
-            raise DimensionMismatch("bilinear form needs two arguments")
-        return self.bilinear(u, v)
-
-
-def form_eval(form: FormSpec, u, v=None):
-    return form.eval(u, v)
-
 
 class SpaceFrame:
     """A space with a form given on a standard basis.
@@ -328,9 +317,6 @@ class SpaceFrame:
 
     def basis(self, i):
         return tuple(1 if j == i else 0 for j in range(self.n))
-
-    def basis_index(self, label):
-        return self.labels.index(label)
 
     @classmethod
     def symplectic(cls, field: FieldSpec, m: int) -> "SpaceFrame":
@@ -556,10 +542,6 @@ def in_omega(g, frame: SpaceFrame) -> bool:
 
 
 # -- form standardization (used when embedding blown-up subgroups) ---------
-
-def gram_of(F: FieldSpec, n, bil):
-    return MatF(F, tuple(tuple(bil(i, j) for j in range(n)) for i in range(n)))
-
 
 def symplectic_change_of_basis(field: FieldSpec, gram: MatF) -> MatF:
     """P whose rows are a standard symplectic basis for the alternating gram."""

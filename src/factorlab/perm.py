@@ -6,12 +6,14 @@ domain acts through one table per semilinear element g: the array T_g of
 length q^n with T_g[code(v)] = code(v^g).  Since v |-> v^g is additive, the
 table is filled from the n(q-1) images of the vectors d e_k alone:
 T[d q^k + r] = T[r] (+) code((d e_k)^g) for r < q^k, where (+) adds codes
-digit by digit (XOR when p = 2).  A domain owns the tables of the elements
-that act on it and the permutations built from them, so each is computed at
-most once per domain and freed with it.  Points move by lookups: a vector by
-T_g, a pair by two lookups, a projective point by T_g and its normalised
-code, a refined antiflag (v, phi) by T_g on v and the table of the
-contragredient element on phi, a form by the table of g^-1 on its arguments.
+coordinate by coordinate: XOR when p = 2, else one lookup per half of the
+code in an addition table of half-length codes, built once per field.  A
+domain owns the tables of the elements that act on it and the permutations
+built from them, so each is computed at most once per domain and freed with
+it.  Points move by lookups: a vector by T_g, a pair by two lookups, a
+projective point by T_g and its normalised code, a refined antiflag
+(v, phi) by T_g on v and the table of the contragredient element on phi, a
+form by the table of g^-1 on its arguments.
 
 Permutations are lists p with point^p = p[point]; composition acts left to
 right: (point^(g*h)) = h[g[point]].  Sifting acts on words, lists of
@@ -21,6 +23,12 @@ carry a known base, points that only the identity of GammaL(V) fixes (for
 nonzero vectors: e_1..e_n and, over a proper extension of GF(p), x e_1);
 then a word of group elements that sifts through every level is the
 identity exactly when it fixes those few points.
+
+A stabilizer chain level keeps a Schreier tree of its base point's orbit.
+The tree grows in place when a strong generator arrives, so a transversal
+element u_p, once built, stays valid; u_p^-1 is built along the tree as
+s^-1 u_parent^-1 from one inverse per generator, shared by all levels of
+the chain.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import random
 from array import array
 from collections import deque
 from itertools import product
-from operator import eq
+from operator import eq, itemgetter
 
 from .errors import (
     CapExceeded,
@@ -44,8 +52,17 @@ DEFAULT_DOMAIN_CAP = 1 << 20
 DEFAULT_ENUM_CAP = 10 ** 6
 
 
+def _picker(indices):
+    """The map s -> (s[i] for i in indices), as a tuple; itemgetter with a
+    single index returns a scalar, so that case is wrapped."""
+    if len(indices) == 1:
+        i = indices[0]
+        return lambda s: (s[i],)
+    return itemgetter(*indices)
+
+
 def compose(g, h):
-    return [h[x] for x in g]
+    return list(_picker(g)(h)) if g else []
 
 
 def inverse(g):
@@ -82,7 +99,13 @@ def bfs(start, moves, cap=None):
     when a point beyond the first cap would be added.
     """
     tree = {start: None}
-    queue = deque((start,))
+    _grow(tree, deque((start,)), moves, cap)
+    return tree
+
+
+def _grow(tree, queue, moves, cap=None):
+    """Continue a breadth-first search: tree as in bfs, queue the points
+    whose moves are still to be followed."""
     while queue:
         x = queue.popleft()
         for i, move in enumerate(moves):
@@ -92,7 +115,6 @@ def bfs(start, moves, cap=None):
                     raise DomainOverflow(f"orbit exceeded the cap {cap}")
                 tree[y] = (x, i)
                 queue.append(y)
-    return tree
 
 
 # -- vector codes and action tables ------------------------------------------
@@ -115,37 +137,50 @@ def _decode(frame, code):
     return tuple(out)
 
 
-def _code_add(F):
-    """(+) on vector codes over F: XOR for p = 2, else coordinate-wise F.add."""
-    if F.p == 2:
-        return int.__xor__
-    add, q = F.add, F.q
-
-    def code_add(x, y):
-        acc, shift = 0, 1
-        while x or y:
-            acc += add(x % q, y % q) * shift
-            x //= q
-            y //= q
-            shift *= q
-        return acc
-
-    return code_add
+def _half_add(F, h):
+    """The array ADD with ADD[x Q + y] = x (+) y for the codes x, y < Q = q^h
+    of h coordinates over F (odd p); built on first use and kept on F."""
+    ADD = F._half_add.get(h)
+    if ADD is not None:
+        return ADD
+    q = F.q
+    digit = [[F.add(a, b) for b in range(q)] for a in range(q)]
+    # rows[x][y] = x (+) y over k coordinates; x = x0 + q x', y = y0 + q y'
+    rows = [[0]]
+    for _ in range(h):
+        rows = [[digit[x % q][y0] + q * v for v in rows[x // q] for y0 in range(q)]
+                for x in range(q * len(rows))]
+    ADD = array("l")
+    for row in rows:
+        ADD.extend(row)
+    F._half_add[h] = ADD
+    return ADD
 
 
 def vector_table(frame, g: GroupElem):
-    """T with T[code(v)] = code(v^g) for every v in F^n (g semilinear)."""
+    """T with T[code(v)] = code(v^g) for every v in F^n (g semilinear).
+
+    T grows block by block: the block for d e_k is T[:q^k] (+) code((d e_k)^g).
+    For p = 2, (+) is XOR.  For odd p a code is split into its low h and high
+    n - h coordinates, h = ceil(n/2), and each half is added by a lookup in
+    the half-code addition table of F.
+    """
     F = frame.field
     q, n = F.q, frame.n
-    plus = _code_add(F)
-    T = array("l", [0]) * q ** n
+    T = array("l", [0])
     size = 1                                    # q^k
+    if F.p != 2:
+        h = (n + 1) // 2
+        Q, ADD = q ** h, _half_add(F, h)
     for k in range(n):
         for d in range(1, q):
             img = _encode(frame, g.act(tuple(d if i == k else 0 for i in range(n))))
-            base = d * size
-            for r in range(size):
-                T[base + r] = plus(T[r], img)
+            if F.p == 2:
+                T.extend([x ^ img for x in T[:size]])
+            else:
+                ihi, ilo = divmod(img, Q)
+                lo, hi = ADD[ilo::Q], ADD[ihi::Q]
+                T.extend([lo[x % Q] + Q * hi[x // Q] for x in T[:size]])
         size *= q
     return T
 
@@ -315,16 +350,16 @@ def form_orbit(frame, seed_form, gens, cap=DEFAULT_DOMAIN_CAP) -> Domain:
     value table on the nonzero vectors, so g moves the entries of a table by
     the vector table of g^-1 and then applies an entrywise Frobenius.
     """
-    fr = frame.field.frobenius
+    F = frame.field
 
     def image(tables, g):
         T = tables[g.inv()]
         # the value at code c (entry c - 1) is the old value at T[c]
-        pre = [T[c] - 1 for c in range(1, len(T))]
-        j = g.frob
-        if j == 0:
-            return lambda table: tuple(map(table.__getitem__, pre))
-        return lambda table: tuple(fr(table[i], j) for i in pre)
+        pick = _picker([T[c] - 1 for c in range(1, len(T))])
+        if g.frob == 0:
+            return pick
+        frob = [F.frobenius(x, g.frob) for x in F.elements()].__getitem__
+        return lambda table: tuple(map(frob, pick(table)))
 
     seed = _form_table(frame, seed_form.quadratic)
     return _orbit_domain("FormOrbit", frame, seed, image, gens, cap)
@@ -376,41 +411,92 @@ def orbit(gens, start, dom: Domain):
 # -- Schreier-Sims ------------------------------------------------------------
 
 
-class _Level:
-    __slots__ = ("base", "gens", "orbit", "tree", "_reps", "_rep_invs")
+def _inverse_of(invs, g):
+    """g^-1, kept in invs (keyed by id(g)) so that each generator is inverted
+    once.  Its entries are taken from g (entry x is g[g^-2[x]]), so the kept
+    list holds no int objects of its own."""
+    gi = invs.get(id(g))
+    if gi is None:
+        gi = inverse(g)
+        gi = invs[id(g)] = compose(compose(gi, gi), g)
+    return gi
 
-    def __init__(self, base):
+
+def _longest_cycle_point(g):
+    """The smallest point of the first longest cycle of g, scanning points in
+    order, or None when g is the identity."""
+    seen = bytearray(len(g))
+    best, best_len = None, 1
+    for start in range(len(g)):
+        if seen[start]:
+            continue
+        x, length = start, 0
+        while not seen[x]:
+            seen[x] = 1
+            x = g[x]
+            length += 1
+        if length > best_len:
+            best, best_len = start, length
+    return best
+
+
+class _Level:
+    """A base point, the strong generators that fix the earlier base points,
+    and the Schreier tree of the base point's orbit under them.
+
+    tree (also named orbit) maps every orbit point, in the order found, to
+    (parent, index of the generator that reached it); the base maps to None.
+    The tree only grows: add_gen keeps every entry, so transversal elements
+    once built stay valid.  invs holds the generator inverses of the whole
+    chain, shared by its levels.
+    """
+
+    __slots__ = ("base", "gens", "orbit", "tree", "invs", "_reps", "_rep_invs")
+
+    def __init__(self, base, invs):
         self.base = base
         self.gens = []
-        self.orbit = {}
-        self.tree = {}
-        self._reps = {}
-        self._rep_invs = {}
+        self.tree = self.orbit = {base: None}
+        self.invs = invs
+        self._reps = {base: None}
+        self._rep_invs = {base: None}
 
-    def recompute(self):
-        # the Schreier tree; its keys, in BFS order, are the orbit
-        self.tree = self.orbit = bfs(self.base, [g.__getitem__ for g in self.gens])
-        self._reps = {self.base: None}
-        self._rep_invs = {self.base: None}
+    def add_gen(self, g):
+        """Append g and extend the tree: first by g from every point already
+        in it, then breadth first from the new points under all generators."""
+        i = len(self.gens)
+        self.gens.append(g)
+        tree = self.tree
+        new = deque()
+        for x in list(tree):
+            y = g[x]
+            if y not in tree:
+                tree[y] = (x, i)
+                new.append(y)
+        _grow(tree, new, [h.__getitem__ for h in self.gens])
+
+    def _path(self, point, cache):
+        # the points from point up to the first one in cache, nearest last
+        path = []
+        while point not in cache:
+            path.append(point)
+            point = self.tree[point][0]
+        return cache[point], reversed(path)
 
     def rep(self, point):
-        # transversal element u with base^u = point
-        got = self._reps.get(point, 0)
-        if got != 0:
-            return got
-        p, gi = self.tree[point]
-        parent = self.rep(p)
-        u = list(self.gens[gi]) if parent is None else compose(parent, self.gens[gi])
-        self._reps[point] = u
+        """The transversal element u with base^u = point (None for the base)."""
+        u, path = self._path(point, self._reps)
+        for x in path:
+            s = self.gens[self.tree[x][1]]
+            u = self._reps[x] = s if u is None else compose(u, s)
         return u
 
     def rep_inv(self, point):
-        got = self._rep_invs.get(point, 0)
-        if got != 0:
-            return got
-        u = self.rep(point)
-        ui = None if u is None else inverse(u)
-        self._rep_invs[point] = ui
+        """rep(point)^-1, built as s^-1 u_parent^-1 along the tree."""
+        ui, path = self._path(point, self._rep_invs)
+        for x in path:
+            si = _inverse_of(self.invs, self.gens[self.tree[x][1]])
+            ui = self._rep_invs[x] = si if ui is None else compose(si, ui)
         return ui
 
 
@@ -424,48 +510,26 @@ class StabChain:
 
     def __init__(self, gens, n_points, seed=0, target_order=None, known_base=None):
         self.n = n_points
-        self.gens = [list(g) for g in gens if not is_identity(g)]
+        self.gens = [g for g in gens if not is_identity(g)]
         self.seed = seed
         self.known_base = known_base
         self.levels = []
+        self._invs = {}
         self._rng = random.Random(seed * 1000003 + n_points * 101 + len(self.gens))
         self._build(target_order)
 
     # construction ---------------------------------------------------------
 
-    def _largest_orbit_point(self, gens):
-        moves = [g.__getitem__ for g in gens]
-        seen = set()
-        best, best_size = None, 0
-        for start in range(self.n):
-            if start in seen:
-                continue
-            comp = bfs(start, moves)
-            seen.update(comp)
-            if len(comp) > best_size:
-                best, best_size = start, len(comp)
-        return best if best_size > 1 else None
-
-    def _new_level(self, gens_here):
-        base = self._largest_orbit_point(gens_here)
-        if base is None:
-            return False
-        lvl = _Level(base)
-        self.levels.append(lvl)
-        return True
-
     def _add_gen(self, level_idx, g):
         """Record g as a strong generator; it fixes the first level_idx bases,
         so it belongs to the generating sets of levels 0..level_idx."""
         if level_idx == len(self.levels):
-            if not self._new_level([g]):
+            base = _longest_cycle_point(g)
+            if base is None:
                 return False
-        level_idx = min(level_idx, len(self.levels) - 1)
-        g = list(g)
-        for j in range(level_idx + 1):
-            lvl = self.levels[j]
-            lvl.gens.append(g)
-            lvl.recompute()
+            self.levels.append(_Level(base, self._invs))
+        for lvl in self.levels[: level_idx + 1]:
+            lvl.add_gen(g)
         return True
 
     def _sift(self, word, start=0):
@@ -524,7 +588,7 @@ class StabChain:
         for _ in range(k):
             g = pool[self._rng.randrange(len(pool))]
             if self._rng.random() < 0.5:
-                g = inverse(g)
+                g = _inverse_of(self._invs, g)
             word.append(g)
         return word
 
@@ -547,7 +611,7 @@ class StabChain:
                 j = self._rng.randrange(len(self.gens))
                 g = self.gens[j]
                 if self._rng.random() < 0.5:
-                    g = inverse(g)
+                    g = _inverse_of(self._invs, g)
                 accum[i] = compose(accum[i], g)
                 self._absorb([accum[i]])
                 if self.order() > target_order:
@@ -568,11 +632,15 @@ class StabChain:
             changed = False
             for i in range(len(self.levels) - 1, -1, -1):
                 lvl = self.levels[i]
-                for p in list(lvl.orbit):
+                tree = lvl.tree
+                for p in list(tree):
                     up = lvl.rep(p)
-                    for g in lvl.gens:
+                    for j, g in enumerate(lvl.gens):
+                        pg = g[p]
+                        if tree[pg] == (p, j):
+                            continue            # a tree edge: u_p g = u_(p^g)
                         word = [g] if up is None else [up, g]
-                        u2i = lvl.rep_inv(g[p])
+                        u2i = lvl.rep_inv(pg)
                         if u2i is not None:
                             word.append(u2i)
                         if self._absorb(word, i + 1):

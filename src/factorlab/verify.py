@@ -354,14 +354,18 @@ def sweep(records, tier="a", caps=None, seed=0, table=None, row=None, jobs=1, su
     if tier in ("b", "both"):
         for case in tier_b_cases(chosen):
             reports.append(verify_tier_b(case, seed=seed, caps=caps))
-    summary = {
+    return reports, summarize(reports)
+
+
+def summarize(reports):
+    """The summary block of a report: tables touched and case counts by status."""
+    return {
         "tables": len({r.case_id.split(".")[0] for r in reports}),
         "cases": len(reports),
         "pass": sum(1 for r in reports if r.status == "PASS"),
         "fail": sum(1 for r in reports if r.status == "FAIL"),
         "skipped": sum(1 for r in reports if r.status.startswith("SKIPPED")),
     }
-    return reports, summary
 
 
 def summary_line(summary):

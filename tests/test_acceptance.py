@@ -19,14 +19,19 @@ from factorlab.construct import (
 from factorlab.gf import FieldSpec
 from factorlab.perm import (
     bsgs,
-    compose,
     enumerate_and_sift,
     nonzero_vectors,
     solvable_residual,
 )
 from factorlab.shapes import classical_order, factorize, parse_shape, ppd, print_shape
 from factorlab.tables import ConcreteCase, load_db
-from factorlab.verify import sweep, tier_b_cases, verify_tier_a, verify_tier_b
+from factorlab.verify import (
+    _coset_orbit_size,
+    sweep,
+    tier_b_cases,
+    verify_tier_a,
+    verify_tier_b,
+)
 
 
 def _report(name, ok, extra=""):
@@ -186,22 +191,6 @@ def test_criterion_4_seed_independence(records):
 # -- criterion 5: criterion (d) vs criterion (f) ---------------------------------
 
 
-def _coset_orbit(h_chain, k_chain, n):
-    ident = list(range(n))
-    seen = {k_chain.coset_key(ident)}
-    queue = [ident]
-    gens = h_chain.strong_gens() or [ident]
-    while queue:
-        g = queue.pop(0)
-        for h in gens:
-            img = compose(g, h)
-            key = k_chain.coset_key(img)
-            if key not in seen:
-                seen.add(key)
-                queue.append(img)
-    return len(seen)
-
-
 def test_criterion_5_criterion_equivalence():
     t0 = time.time()
     ambients = [
@@ -224,7 +213,7 @@ def test_criterion_5_criterion_equivalence():
             K = bsgs_from_perms(gens_k, dom.size)
             n_int = enumerate_and_sift(H, K)
             d_holds = order_g * n_int == H.order() * K.order()
-            f_holds = _coset_orbit(H, K, dom.size) == order_g // K.order()
+            f_holds = _coset_orbit_size(H, K, dom.size) == order_g // K.order()
             assert d_holds == f_holds, (fam, n, q, H.order(), K.order())
             pairs += 1
             factorizations += d_holds

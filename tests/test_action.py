@@ -46,7 +46,12 @@ def _code_act(frame, g, code):
     return _encode(frame, g.act(_decode(frame, code)))
 
 
-@pytest.mark.parametrize("fam,n,q", FRAMES)
+# odd p splits a code into halves of ceil(n/2) coordinates: GF(3)^6 (the
+# frame of the Sp_6(3) triple), GF(9)^4 and, with an odd n, GF(3)^5
+TABLE_FRAMES = FRAMES + [("Sp", 6, 3), ("SU", 4, 3), ("OmegaOdd", 5, 3)]
+
+
+@pytest.mark.parametrize("fam,n,q", TABLE_FRAMES)
 def test_vector_table_matches_per_point_action(fam, n, q):
     frame, gens = _elements(fam, n, q)
     size = frame.field.q ** frame.n

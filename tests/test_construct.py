@@ -46,6 +46,24 @@ def test_gens_classical_orders(family, n, q, expected):
     assert chain is not None and chain.order() == expected
 
 
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (3, 4), (4, 2), (5, 2)])
+def test_su_generating_sets_generate_su(n, q):
+    # every SU(n, q) a recipe or test builds: the few generators lie in SU
+    # and an untargeted chain, whose order is proven, reaches |SU(n, q)|
+    spec = gens_classical("SU", n, q)
+    assert len(spec.gens) <= 6
+    for g in spec.gens:
+        assert is_isometry(g, spec.frame.form) and g.mat.det() == 1
+    chain = bsgs(spec.gens, nonzero_vectors(spec.frame), seed=0)
+    assert chain.order() == classical_order("SU", n, q)
+
+
+@pytest.mark.parametrize("m,sign", [(5, "-"), (4, "+")])
+def test_su_in_omega_reaches_the_table_order(m, sign):
+    spec = su_in_omega(m, 2, sign)
+    assert spec.validate(seed=0).order() == classical_order("SU", m, 2)
+
+
 def test_blowup_scalar_is_companion_matrix():
     F2 = FieldSpec.get(2)
     F4 = F2.extend(2)

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -8,7 +10,9 @@ from factorlab.gf import FieldSpec
 from factorlab.linalg import GroupElem, MatF, SpaceFrame
 from factorlab.perm import (
     StabChain,
+    _Level,
     _product,
+    bfs,
     bsgs,
     compose,
     derived_chain,
@@ -382,3 +386,62 @@ def test_enumerate_and_sift_on_words_matches_full_permutations(fam, n, q):
         expected = sum(1 for g in elements if K_plain.contains(g))
         assert enumerate_and_sift(H, K) == expected
         assert enumerate_and_sift(H, ambient) == H.order()
+
+
+def _check_level(lvl):
+    # every tree edge is a generator step, the tree spans the orbit and each
+    # inverse transversal element inverts its transversal element
+    for p, edge in lvl.tree.items():
+        if edge is None:
+            assert p == lvl.base
+        else:
+            x, i = edge
+            assert lvl.gens[i][x] == p
+    assert set(lvl.orbit) == set(bfs(lvl.base, [g.__getitem__ for g in lvl.gens]))
+    for p in lvl.orbit:
+        u, ui = lvl.rep(p), lvl.rep_inv(p)
+        if p == lvl.base:
+            assert u is None and ui is None
+        else:
+            assert u[lvl.base] == p and is_identity(compose(u, ui))
+
+
+@pytest.mark.parametrize("fam,n,q", SUBGROUP_FRAMES)
+def test_schreier_trees_stay_valid_after_every_new_generator(fam, n, q, monkeypatch):
+    add_gen = _Level.add_gen
+    checked = []
+
+    def add_gen_and_check(lvl, g):
+        add_gen(lvl, g)
+        _check_level(lvl)
+        checked.append(lvl)
+
+    monkeypatch.setattr(_Level, "add_gen", add_gen_and_check)
+    dom, ambient = _ambient(fam, n, q)
+    rng = random.Random(3)
+    for seed in range(2):
+        gens = [ambient.random_element(rng) for _ in range(2)]
+        plain = StabChain(gens, dom.size, seed=seed)
+        targeted = StabChain(gens, dom.size, seed=seed, target_order=plain.order())
+        assert targeted.order() == plain.order()
+    assert len(checked) > 10
+
+
+def test_a_dropped_chain_is_freed_without_the_cycle_collector():
+    # the levels share the chain's generator inverses through a plain dict;
+    # a level that pointed back to its chain would keep every dead chain
+    # alive until a cyclic collection
+    dom, ambient = _ambient("Sp", 4, 3)
+    rng = random.Random(1)
+    gens = [ambient.random_element(rng) for _ in range(2)]
+    gc.disable()
+    try:
+        for target in (None, ambient.order()):
+            chain = StabChain(gens + ambient.strong_gens(), dom.size, target_order=target)
+            assert chain._invs and any(ui is not None for lvl in chain.levels
+                                       for ui in lvl._rep_invs.values())
+            ref = weakref.ref(chain)
+            del chain
+            assert ref() is None
+    finally:
+        gc.enable()

@@ -35,7 +35,7 @@ from .linalg import (
     vec_add,
     vec_scale,
 )
-from .perm import bsgs, nonzero_vectors
+from .perm import bsgs, form_values, nonzero_vectors
 from .shapes import classical_order
 
 
@@ -179,12 +179,13 @@ def _trace_zero_basis(F: FieldSpec, half: int):
 
 
 def _isotropic_points(frame):
-    """All isotropic projective points of a hermitian frame."""
-    F = frame.field
-    n = frame.n
+    """All isotropic projective points of a hermitian frame, each as its
+    vector with leading coordinate 1, in ascending code order."""
+    q, n = frame.field.q, frame.n
     out = []
-    q = F.q
-    for code in range(1, q ** n):
+    for code, value in enumerate(form_values(frame)):
+        if value or not code:
+            continue
         v = []
         c = code
         for _ in range(n):
@@ -193,9 +194,7 @@ def _isotropic_points(frame):
         lead = next(x for x in v if x)
         if lead != 1:
             continue
-        v = tuple(v)
-        if frame.form.bilinear(v, v) == 0:
-            out.append(v)
+        out.append(tuple(v))
     return out
 
 

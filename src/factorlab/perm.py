@@ -13,7 +13,14 @@ built from them, so each is computed at most once per domain and freed with
 it.  Points move by lookups: a vector by T_g, a pair by two lookups, a
 projective point by T_g and its normalised code, a refined antiflag
 (v, phi) by T_g on v and the table of the contragredient element on phi, a
-form by the table of g^-1 on its arguments.
+form by the inverse of T_g on its arguments.
+
+A form is evaluated on all of F^n in one place, form_values, which fills its
+value table by the same additivity: the value at r + d e_k is the value at r
+plus the value at d e_k plus a cross term additive in r.  Level sets filter
+codes by that table.  A form orbit codes each quadratic form by its values on
+e_i and e_i + e_j, which determine it; the full table of a form is kept only
+to compute images, and is built once per form the orbit search meets.
 
 Permutations are lists p with point^p = p[point]; composition acts left to
 right: (point^(g*h)) = h[g[point]].  Sifting acts on words, lists of
@@ -185,6 +192,51 @@ def vector_table(frame, g: GroupElem):
     return T
 
 
+def form_values(frame, form=None):
+    """V with V[code(v)] = Q(v) for every v in F^n when form (by default the
+    frame's) is quadratic, else V[code(v)] = beta(v, v).
+
+    V grows block by block, as a vector table does: for r < q^k,
+    V[d q^k + r] = V[r] + V[d q^k] + C(r), with the cross term
+    C(r) = b(r, d e_k) for a quadratic form with polar form b, else
+    beta(r, d e_k) + beta(d e_k, r).  C is additive in r, so its table over
+    r < q^k is filled block by block too, from its values at the c e_i, i < k.
+    """
+    form = frame.form if form is None else form
+    F = frame.field
+    q, n = F.q, frame.n
+    G, mul = form.gram.rows, F.mul
+    add = [[F.add(a, b) for b in range(q)] for a in range(q)]
+    if form.kind == "quadratic":
+        def diag(k, d):
+            return mul(form.qdiag[k], mul(d, d))
+
+        def cross(i, k, a, d):
+            return mul(a, mul(G[i][k], d))
+    else:
+        conj = form.conj if form.kind == "hermitian" else (lambda x: x)
+
+        def diag(k, d):
+            return mul(d, mul(G[k][k], conj(d)))
+
+        def cross(i, k, a, d):
+            return add[mul(a, mul(G[i][k], conj(d)))][mul(d, mul(G[k][i], conj(a)))]
+    V = [0]
+    size = 1                                    # q^k
+    for k in range(n):
+        for d in range(1, q):
+            C, block = [0], 1                   # C over r < q^i
+            for i in range(k):
+                for a in range(1, q):
+                    c = cross(i, k, a, d)
+                    C.extend([add[x][c] for x in C[:block]])
+                block *= q
+            row = add[diag(k, d)]
+            V.extend([add[row[v]][c] for v, c in zip(V[:size], C)])
+        size *= q
+    return V
+
+
 def contragredient(g: GroupElem) -> GroupElem:
     """The element phi |-> (phi A^-T)^(sigma^j) on linear forms, for g = (A, j)."""
     return GroupElem(g.mat.inv().transpose().frob(g.frob), g.frob)
@@ -269,12 +321,7 @@ def nonzero_vectors(frame, cap=DEFAULT_DOMAIN_CAP) -> Domain:
 
 def norm_level_set(frame, value, cap=DEFAULT_DOMAIN_CAP) -> Domain:
     """Vectors v != 0 with Q(v) = value (quadratic) or beta(v,v) = value."""
-    form = frame.form
-    if form.kind == "quadratic":
-        val = form.quadratic
-    else:
-        val = lambda v: form.bilinear(v, v)
-    pts = [c for c in _all_vectors(frame) if c and val(_decode(frame, c)) == value]
+    pts = [c for c, x in enumerate(form_values(frame)) if x == value and c]
     kind = f"NormLevelSet({value})"
     return Domain(kind, frame, pts, _vector_image, cap)
 
@@ -339,38 +386,55 @@ def refined_antiflags(frame, cap=DEFAULT_DOMAIN_CAP) -> Domain:
     return Domain("RefinedAntiflags", frame, pts, image, cap)
 
 
-def _form_table(frame, qfun):
-    return tuple(qfun(_decode(frame, c)) for c in _all_vectors(frame) if c)
-
-
 def form_orbit(frame, seed_form, gens, cap=DEFAULT_DOMAIN_CAP) -> Domain:
     """The orbit of a quadratic form under gens of the ambient isometry group.
 
-    Forms transform by Q^g(v) = Q(v^(g^-1))^(p^j); a form is coded by its
-    value table on the nonzero vectors, so g moves the entries of a table by
-    the vector table of g^-1 and then applies an entrywise Frobenius.
+    Forms transform by Q^g(v) = Q(v^(g^-1))^(p^j): g moves the entries of a
+    value table (form_values) by the vector table of g^-1, the inverse of
+    the table of g, and then applies an entrywise Frobenius.
+
+    A form is coded by its key, its values on S = {e_i} + {e_i + e_j, i < j}.
+    The key determines Q: b(e_i, e_j) = Q(e_i + e_j) - Q(e_i) - Q(e_j), and
+    Q(sum a_i e_i) = sum a_i^2 Q(e_i) + sum_(i<j) a_i a_j b(e_i, e_j).  So
+    the key of an image is a pick of |S| entries of the full table, and a
+    full table is built only for a form the orbit search has not met.  The
+    points are the keys, sorted by the full tables; dom.values maps a point
+    to its full table and dom.key maps a full table to its point.
     """
     F = frame.field
+    q, n = F.q, frame.n
+    S = [q ** i for i in range(n)] + [q ** i + q ** j for i in range(n) for j in range(i + 1, n)]
+    key = _picker(S)
+    values = {}
 
     def image(tables, g):
-        T = tables[g.inv()]
-        # the value at code c (entry c - 1) is the old value at T[c]
-        pick = _picker([T[c] - 1 for c in range(1, len(T))])
-        if g.frob == 0:
-            return pick
+        T = inverse(tables[g])
+        pick = _picker([T[s] for s in S])
         frob = [F.frobenius(x, g.frob) for x in F.elements()].__getitem__
-        return lambda table: tuple(map(frob, pick(table)))
 
-    seed = _form_table(frame, seed_form.quadratic)
-    return _orbit_domain("FormOrbit", frame, seed, image, gens, cap)
+        def move(point):
+            W = values[point]
+            img = pick(W) if g.frob == 0 else tuple(map(frob, pick(W)))
+            if img not in values:
+                full = compose(T, W)
+                values[img] = full if g.frob == 0 else list(map(frob, full))
+            return img
+
+        return move
+
+    seed = form_values(frame, seed_form)
+    values[key(seed)] = seed
+    dom = _orbit_domain("FormOrbit", frame, key(seed), image, gens, cap, values.__getitem__)
+    dom.values, dom.key = values, key
+    return dom
 
 
-def _orbit_domain(kind, frame, seed, image, gens, cap):
-    """The domain of the sorted orbit of seed under gens; it keeps the
-    vector tables the orbit search built."""
+def _orbit_domain(kind, frame, seed, image, gens, cap, sort_key=None):
+    """The domain of the orbit of seed under gens, sorted (by sort_key when
+    given); it keeps the vector tables the orbit search built."""
     tables = VectorTables(frame)
     tree = bfs(seed, [image(tables, g) for g in gens], cap)
-    return Domain(kind, frame, sorted(tree), image, cap, tables)
+    return Domain(kind, frame, sorted(tree, key=sort_key), image, cap, tables)
 
 
 def _pair_image(tables, g):

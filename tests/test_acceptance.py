@@ -10,12 +10,7 @@ import time
 
 import pytest
 
-from factorlab.construct import (
-    adjoin,
-    blowup_elem,
-    frobenius_elem,
-    gens_classical,
-)
+from factorlab.construct import blowup_elem, frobenius_elem, gens_classical
 from factorlab.gf import FieldSpec
 from factorlab.perm import (
     bsgs,

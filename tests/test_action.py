@@ -138,9 +138,10 @@ def test_projective_and_form_domains_permute_like_per_point_action():
     for g in sp.gens:
         ginv = g.inv()
         want = []
-        for table in forms.points:
-            image = tuple(table[_code_act(sp.frame, ginv, c) - 1] for c in codes)
-            want.append(forms.index[image])
+        for point in forms.points:
+            table = forms.values[point]
+            image = {c: table[_code_act(sp.frame, ginv, c)] for c in codes}
+            want.append(forms.index[forms.key(image)])
         assert forms.perm_of(g) == want
 
 

@@ -93,7 +93,6 @@ def build_parser():
     _add_common(p)
     _add_caps(p)
     p.add_argument("--tier", choices=["a", "b", "both"], default="a")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("export-db", help="dump the bundled database")
     _add_common(p)
@@ -242,7 +241,7 @@ def cmd_sweep(args):
     caps = _caps_from(args)
     reports, summary = sweep(
         records, tier=args.tier, caps=caps, seed=args.seed,
-        table=args.table, row=args.row, sub=args.sub, jobs=args.jobs,
+        table=args.table, row=args.row, sub=args.sub,
     )
     _render(args, reports, summary)
     return 1 if summary["fail"] else 0
@@ -285,7 +284,7 @@ def cmd_check_triple(args):
             raise NotSubgroup("H and K generators must sift into G")
     chainH = bsgs(gH, dom, seed=args.seed)
     chainK = bsgs(gK, dom, seed=args.seed)
-    n_int = enumerate_and_sift(chainH, chainK, caps["max_enum"])
+    n_int = len(enumerate_and_sift(chainH, chainK, caps["max_enum"]))
     holds = chainH.order() * chainK.order() == chainG.order() * n_int
     payload = {
         "orderG": str(chainG.order()),

@@ -1,7 +1,7 @@
 """Generator sets for the classical groups and the explicit subgroup recipes:
 field-extension blow-ups, Sp inside SU, SU inside Omega, trace-form
-field-extension subgroups, parabolic residuals, and adjoined semilinear or
-reflection elements.
+field-extension subgroups and parabolic residuals, plus the seeds of the
+orbit domains the TIER-B recipes use.
 
 Every construction is gate-checked where it is used: generators must be
 isometries of the intended form (plus the Omega-membership test where that
@@ -15,13 +15,12 @@ from dataclasses import dataclass
 
 from .errors import (
     IllegalParameters,
-    NotNormalizing,
     NoTower,
     SignParityMismatch,
     UnsupportedParameters,
     VerificationFailed,
 )
-from .gf import FieldSpec, find_mu_norm_minus_one
+from .gf import FieldSpec, find_irreducible_mu, find_mu_norm_minus_one
 from .linalg import (
     GroupElem,
     MatF,
@@ -198,23 +197,27 @@ def _isotropic_points(frame):
     return out
 
 
+# two elements of order 4 that generate SU_3(2), in the frame
+# classical_frame("SU", 3, 2)
+_SU32_GENS = (((0, 2, 0), (2, 3, 1), (0, 3, 2)), ((0, 2, 0), (2, 3, 2), (0, 2, 2)))
+
+
 def _su_gens(frame, rich=False):
     """A small generating set of SU(n, q) over a hermitian frame.
 
     n = 2: every isotropic transvection (the root groups of SU_2(q) = SL_2(q)).
     n >= 3: four isotropic transvections, evenly strided through the list of
     all of them, and one diagonal element of determinant 1.  SU_3(2) is not
-    generated by its transvections; six of its 216 elements, evenly strided,
-    are used instead.  The tests prove by untargeted chains that each set in
-    use generates the whole group.
+    generated by its transvections; two of its elements of order 4 are used
+    instead.  The tests prove by untargeted chains that each set in use
+    generates the whole group.
     """
     F = frame.field
     n = frame.n
     half = F.f // 2
     q0 = F.p ** half
     if n == 3 and q0 == 2:
-        group = _small_isometry_group(frame, det_one=True)
-        return group[:: len(group) // 6]
+        return [GroupElem(MatF(F, rows)) for rows in _SU32_GENS]
     lams = _trace_zero_basis(F, half)
     pairs = [(u, lam) for u in _isotropic_points(frame) for lam in lams]
     if n == 2:
@@ -231,55 +234,6 @@ def _su_gens(frame, rich=False):
         diag = [alpha, conj_inv, F.inv(alpha), F.frobenius(alpha, half)] + [1] * (n - 4)
     gens.append(GroupElem(MatF(F, [vec_scale(F, diag[i], _unit(n, i)) for i in range(n)])))
     return gens
-
-
-_SMALL_GROUP_CACHE = {}
-
-
-def _small_isometry_group(frame, det_one=False):
-    """The full isometry group of a tiny frame, in the lexicographic order of
-    the matrix entries (cached).
-
-    Row k of an isometry is the image of e_k, so the rows are chosen one at
-    a time and a partial matrix is kept only while beta(row_i, row_k) is the
-    Gram entry (i, k) for every i <= k and, for a quadratic form,
-    Q(row_k) = Q(e_k).
-    """
-    F = frame.field
-    n = frame.n
-    form = frame.form
-    key = (F.key, n, form.kind, det_one)
-    if key in _SMALL_GROUP_CACHE:
-        return _SMALL_GROUP_CACHE[key]
-    from itertools import product
-
-    vectors = list(product(F.elements(), repeat=n))
-    gram = form.gram.rows
-
-    def fits(rows, v):
-        k = len(rows)
-        if form.kind == "quadratic" and form.quadratic(v) != form.qdiag[k]:
-            return False
-        return all(form.bilinear(u, v) == gram[i][k] for i, u in enumerate(rows + [v]))
-
-    out = []
-
-    def extend(rows):
-        if len(rows) < n:
-            for v in vectors:
-                if fits(rows, v):
-                    extend(rows + [v])
-            return
-        m = MatF(F, rows)
-        if m.det() == 0 or (det_one and m.det() != 1):
-            return
-        g = GroupElem(m)
-        if is_isometry(g, form):
-            out.append(g)
-
-    extend([])
-    _SMALL_GROUP_CACHE[key] = out
-    return out
 
 
 def _omega_gens(frame, rich=False):
@@ -802,20 +756,6 @@ def _pm_residual_omega_odd(F, m, q):
 # -- distinguished elements ----------------------------------------------------
 
 
-def gamma_swap(frame: SpaceFrame) -> GroupElem:
-    """The involution swapping e_i and f_i for all hyperbolic pairs."""
-    n = frame.n
-    rows = []
-    for i in range(n):
-        if i % 2 == 0 and i + 1 < n:
-            rows.append(_unit(n, i + 1))
-        elif i % 2 == 1:
-            rows.append(_unit(n, i - 1))
-        else:
-            rows.append(_unit(n, i))
-    return GroupElem(MatF(frame.field, rows))
-
-
 def frobenius_elem(frame: SpaceFrame, j: int = 1) -> GroupElem:
     return GroupElem(MatF.identity(frame.field, frame.n), j)
 
@@ -848,17 +788,64 @@ def twisted_frobenius(frame: SpaceFrame, j: int = 1) -> GroupElem:
     return g
 
 
-def adjoin(gens, elem: GroupElem, dom=None, expected_index=None, seed=0):
-    """Extend a generating set; with expected_index, certify that the result
-    enlarges <gens> by exactly that index (NotNormalizing otherwise)."""
-    out = list(gens) + [elem]
-    if expected_index is not None:
-        if dom is None:
-            raise IllegalParameters("index check needs a domain")
-        base = bsgs(gens, dom, seed=seed)
-        bigger = bsgs(out, dom, seed=seed)
-        if bigger.order() != base.order() * expected_index:
-            raise NotNormalizing(
-                f"adjoined element gives index {bigger.order() / base.order():g}, "
-                f"expected {expected_index}")
-    return out
+# -- TIER-B recipe builders ----------------------------------------------------
+
+
+def ext_field_sp(a: int, b: int, q: int) -> GroupPresentationSpec:
+    """Sp_2a(q^b) inside Sp_2ab(q) (ext_field_subgroup)."""
+    return ext_field_subgroup("Sp", a, b, q)[0]
+
+
+def sl_levi(family: str, m: int, q: int) -> GroupPresentationSpec:
+    """The Levi block T of pm_residual(family, m, q), without the radical."""
+    return pm_residual(family, m, q, include_radical=False)
+
+
+def parabolic_p1_sp(m: int, q: int) -> GroupPresentationSpec:
+    """R:Sp_2m-2(q) inside Sp_2m(q) (parabolic_p1_sp_residual)."""
+    return parabolic_p1_sp_residual(m, q)[0]
+
+
+def blowup_sigma(family: str, n: int, q: int) -> GroupPresentationSpec:
+    """family(n, q) with the Frobenius map adjoined, blown up over the prime
+    field: a group of order b |family(n, q)| inside SL_nb(p), q = p^b."""
+    inner = gens_classical(family, n, q)
+    ext = inner.frame.field
+    sub = FieldSpec.get(ext.p)
+    b = ext.f // sub.f
+    gens = [blowup_elem(g, sub) for g in inner.gens]
+    gens.append(blowup_elem(frobenius_elem(inner.frame, 1), sub))
+    return GroupPresentationSpec(
+        "BlowupSigma", n * b, sub.q, classical_frame("SL", n * b, sub.q), gens,
+        b * inner.expected_order, f"{family}({n},{q}).{b}<SL({n * b},{sub.q})",
+    )
+
+
+def gamma_o_minus_ext(a: int, b: int, q: int) -> GroupPresentationSpec:
+    """GammaO_2a^-(q^b) inside Omega_2ab(q): the Omega field-extension
+    subgroup together with a reflection of the small space and its twisted
+    field automorphism."""
+    spec, inner, lift = ext_field_subgroup("Omega", a, b, q, sign="-")
+    refl = reflection(inner.frame, inner.frame.basis(2 * a - 2))
+    frob = twisted_frobenius(inner.frame, 1)
+    gens = spec.gens + [lift(refl), lift(frob)]
+    order = b * 2 * inner.expected_order
+    return GroupPresentationSpec(
+        "GammaOMinusExt", spec.n, q, spec.frame, gens, order,
+        f"GammaO-({2 * a},{q ** b})<Omega({spec.n},{q})",
+    )
+
+
+def quadratic_form(frame: SpaceFrame, sign: str):
+    """The standard quadratic form of the given type on the space of frame
+    (the seed of a form orbit)."""
+    return SpaceFrame.quadratic(frame.field, frame.n, sign).form
+
+
+def minus_pair(frame: SpaceFrame):
+    """An ordered pair (v, u) spanning a nondegenerate minus-type 2-space:
+    v = e1 + f1 and u = e1 + e2 + mu f2 with x^2 + x + mu irreducible."""
+    F = frame.field
+    e = frame.basis
+    u = vec_add(F, e(0), vec_add(F, e(2), vec_scale(F, find_irreducible_mu(F), e(3))))
+    return vec_add(F, e(0), e(1)), u

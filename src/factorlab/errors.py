@@ -92,10 +92,6 @@ class SignParityMismatch(FactorLabError):
     pass
 
 
-class NotNormalizing(FactorLabError):
-    pass
-
-
 class ManifestMismatch(FactorLabError):
     pass
 

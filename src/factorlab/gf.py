@@ -286,18 +286,6 @@ class FieldSpec:
             return x
         return self.pow(x, self.p ** j)
 
-    def arith(self, x, y, kind: str):
-        """Dispatch used by the CLI layer; kinds: add, mul, inv, pow."""
-        if kind == "add":
-            return self.add(x, y)
-        if kind == "mul":
-            return self.mul(x, y)
-        if kind == "inv":
-            return self.inv(x)
-        if kind == "pow":
-            return self.pow(x, y)
-        raise ValueError(f"unknown arith kind {kind!r}")
-
     # -- towers ----------------------------------------------------------
 
     def extend(self, b: int) -> "FieldSpec":

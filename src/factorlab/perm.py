@@ -11,9 +11,8 @@ code in an addition table of half-length codes, built once per field.  A
 domain owns the tables of the elements that act on it and the permutations
 built from them, so each is computed at most once per domain and freed with
 it.  Points move by lookups: a vector by T_g, a pair by two lookups, a
-projective point by T_g and its normalised code, a refined antiflag
-(v, phi) by T_g on v and the table of the contragredient element on phi, a
-form by the inverse of T_g on its arguments.
+refined antiflag (v, phi) by T_g on v and the table of the contragredient
+element on phi, a form by the inverse of T_g on its arguments.
 
 A form is evaluated on all of F^n in one place, form_values, which fills its
 value table by the same additivity: the value at r + d e_k is the value at r
@@ -332,30 +331,6 @@ def singular_vectors(frame, cap=DEFAULT_DOMAIN_CAP) -> Domain:
     return dom
 
 
-def projective_points(frame, cap=DEFAULT_DOMAIN_CAP) -> Domain:
-    """Lines of F^n, each coded by its vector with leading coordinate 1."""
-    F = frame.field
-
-    def normalize(v):
-        lead = next(x for x in v if x)
-        if lead == 1:
-            return v
-        c = F.inv(lead)
-        return tuple(F.mul(c, x) for x in v)
-
-    norm = array("l", [0]) * F.q ** frame.n
-    for c in _all_vectors(frame):
-        if c:
-            norm[c] = _encode(frame, normalize(_decode(frame, c)))
-    pts = sorted(set(norm[1:]))
-
-    def image(tables, g):
-        T = tables[g]
-        return lambda c: norm[T[c]]
-
-    return Domain("ProjectivePoints", frame, pts, image, cap)
-
-
 def refined_antiflags(frame, cap=DEFAULT_DOMAIN_CAP) -> Domain:
     """Pairs {v, W}: v nonzero, W a complementary hyperplane, encoded as
     (v, phi) with W = ker(phi) and phi(v) = 1."""
@@ -442,27 +417,10 @@ def _pair_image(tables, g):
     return lambda pt: (T[pt[0]], T[pt[1]])
 
 
-def _unordered_pair_image(tables, g):
-    T = tables[g]
-
-    def move(pt):
-        u, w = T[pt[0]], T[pt[1]]
-        return (u, w) if u <= w else (w, u)
-
-    return move
-
-
 def ordered_vector_pairs(frame, seed_pair, gens, cap=DEFAULT_DOMAIN_CAP) -> Domain:
     """Orbit of an ordered vector pair (u, w) under the given generators."""
     seed = (_encode(frame, seed_pair[0]), _encode(frame, seed_pair[1]))
     return _orbit_domain("OrderedVectorPairs", frame, seed, _pair_image, gens, cap)
-
-
-def unordered_vector_pairs(frame, seed_pair, gens, cap=DEFAULT_DOMAIN_CAP) -> Domain:
-    """Orbit of an unordered vector pair {u, w} under the given generators."""
-    u, w = _encode(frame, seed_pair[0]), _encode(frame, seed_pair[1])
-    seed = (u, w) if u <= w else (w, u)
-    return _orbit_domain("UnorderedVectorPairs", frame, seed, _unordered_pair_image, gens, cap)
 
 
 def orbit(gens, start, dom: Domain):
@@ -784,11 +742,13 @@ def bsgs(gens, dom: Domain, seed=0, target_order=None) -> StabChain:
                      known_base=dom.known_base)
 
 
-def enumerate_and_sift(H: StabChain, K: StabChain, cap=DEFAULT_ENUM_CAP) -> int:
-    """|H meet K| by enumerating H as words and sifting them through K's chain."""
+def enumerate_and_sift(H: StabChain, K: StabChain, cap=DEFAULT_ENUM_CAP) -> list:
+    """The elements of H meet K, in the order of H.elements(): H is
+    enumerated as words, each is sifted through K's chain, and only the
+    products of the members are formed."""
     if H.n != K.n:
         raise ValueError("chains act on different domains")
-    return sum(1 for word in H.words(cap) if K._sift(word)[1] is None)
+    return [_product(word, H.n) for word in H.words(cap) if K._sift(word)[1] is None]
 
 
 def normal_closure(seeds, conjugators, n_points, seed=0, cap=DEFAULT_ENUM_CAP,
@@ -825,16 +785,12 @@ def derived_chain(gens_perms, n_points, seed=0, cap=DEFAULT_ENUM_CAP, known_base
 
 
 def solvable_residual(gens, dom: Domain, seed=0, cap=DEFAULT_ENUM_CAP) -> StabChain:
-    """Chain for the last term of the derived series of <gens>."""
-    perms = dom.perms_of(gens)
+    """Chain for the last term of the derived series of <gens>; gens are
+    GroupElems acting on dom or permutations of its points."""
+    perms = [dom.perm_of(g) if isinstance(g, GroupElem) else g for g in gens]
     chain = StabChain(perms, dom.size, seed=seed, known_base=dom.known_base)
-    cur_gens = perms
-    cur_order = chain.order()
     while True:
-        nxt = derived_chain(cur_gens, dom.size, seed=seed, cap=cap, known_base=dom.known_base)
-        if nxt.order() == cur_order:
+        nxt = derived_chain(perms, dom.size, seed=seed, cap=cap, known_base=dom.known_base)
+        if nxt.order() in (chain.order(), 1):
             return nxt
-        if nxt.order() == 1:
-            return nxt
-        cur_gens = nxt.strong_gens()
-        cur_order = nxt.order()
+        chain, perms = nxt, nxt.strong_gens()

@@ -16,21 +16,10 @@ import traceback
 from dataclasses import dataclass, field
 
 from .errors import CapExceeded, DomainOverflow, FactorLabError, UnboundSymbol
-from . import construct
-from .perm import (
-    bfs,
-    bsgs,
-    compose,
-    form_orbit,
-    nonzero_vectors,
-    norm_level_set,
-    orbit,
-    refined_antiflags,
-    singular_vectors,
-    solvable_residual,
-)
+from . import construct, perm
+from .perm import bfs, bsgs, compose, enumerate_and_sift, orbit, solvable_residual
 from .shapes import order_of
-from .tables import ConcreteCase, admissible_bindings
+from .tables import ConcreteCase, _derived_expansions, admissible_bindings
 
 DEFAULT_CAPS = {
     "max_order": 10 ** 40,      # TIER-A binding enumeration cap on |G0|
@@ -87,105 +76,66 @@ def verify_tier_a(case: ConcreteCase) -> VerificationReport:
     )
 
 
-# -- TIER-B recipe interpretation ------------------------------------------------
+# -- TIER-B recipe registry ---------------------------------------------------
+
+# Every recipe kind a TIER-B record names, with what builds it.  Builders are
+# kept by name and looked up on their module when a case runs.
+#   ("group", f)      construct.f(*args), a GroupPresentationSpec;
+#   ("residual", f)   the solvable residual of that group, or, with f None,
+#                     of the group recipe args[0];
+#   ("frame", f)      perm.f(frame, *args, cap) on the frame of H;
+#   ("orbit", f, s)   perm.f(frame, construct.s(frame, *args), gens, cap): the
+#                     orbit of a seed under the generators of the ambient group.
+RECIPES = {
+    "classical": ("group", "gens_classical"),
+    "sp_in_su": ("group", "sp_in_su"),
+    "su_in_omega": ("group", "su_in_omega"),
+    "ext_field_sp": ("group", "ext_field_sp"),
+    "pm_residual": ("group", "pm_residual"),
+    "sl_levi": ("group", "sl_levi"),
+    "blowup_sigma": ("group", "blowup_sigma"),
+    "gamma_o_minus_ext": ("group", "gamma_o_minus_ext"),
+    "derived_of": ("residual", None),
+    "parabolic_p1_residual": ("residual", "parabolic_p1_sp"),
+    "NonzeroVectors": ("frame", "nonzero_vectors"),
+    "NormLevelSet": ("frame", "norm_level_set"),
+    "SingularNonzeroVectors": ("frame", "singular_vectors"),
+    "RefinedAntiflags": ("frame", "refined_antiflags"),
+    "FormOrbit": ("orbit", "form_orbit", "quadratic_form"),
+    "MinusPairOrbit": ("orbit", "ordered_vector_pairs", "minus_pair"),
+}
 
 
-def _resolve(args, bindings):
-    return [bindings[a] if isinstance(a, str) and a in bindings else a for a in args]
-
-
-def _build_h(desc, bindings, seed):
-    """Returns (gens, frame, expected_order, take_residual)."""
+def _recipe(desc, bindings):
+    """The registry entry of a recipe and its arguments, bound."""
     kind, *args = desc
-    args = _resolve(args, bindings)
-    if kind == "classical":
-        spec = construct.gens_classical(*args)
-        return spec.gens, spec.frame, spec.expected_order, False
-    if kind == "derived_of":
-        gens, frame, expected, _ = _build_h(args[0], bindings, seed)
-        return gens, frame, None, True
-    if kind == "sp_in_su":
-        spec = construct.sp_in_su(*args)
-        return spec.gens, spec.frame, spec.expected_order, False
-    if kind == "su_in_omega":
-        spec = construct.su_in_omega(*args)
-        return spec.gens, spec.frame, spec.expected_order, False
-    if kind == "ext_field_sp":
-        spec, _, _ = construct.ext_field_subgroup("Sp", *args)
-        return spec.gens, spec.frame, spec.expected_order, False
-    if kind == "pm_residual":
-        spec = construct.pm_residual(*args)
-        return spec.gens, spec.frame, spec.expected_order, False
-    if kind == "sl_levi":
-        spec = construct.pm_residual(*args, include_radical=False)
-        return spec.gens, spec.frame, spec.expected_order, False
-    if kind == "blowup_sigma":
-        fam, n, q_ext = args
-        inner = construct.gens_classical(fam, n, q_ext)
-        ext = inner.frame.field
-        sub = construct.FieldSpec.get(ext.p)
-        gens = [construct.blowup_elem(g, sub) for g in inner.gens]
-        gens.append(construct.blowup_elem(construct.frobenius_elem(inner.frame, 1), sub))
-        frame = construct.classical_frame("SL", n * (ext.f // sub.f), sub.q)
-        return gens, frame, ext.f // sub.f * inner.expected_order, False
-    if kind == "gamma_o_minus_ext":
-        # GammaO_2a^-(q^b): the Omega ext-field subgroup together with a
-        # reflection of the small space and its (twisted) field automorphism
-        a, b, q = args
-        spec, inner, lift = construct.ext_field_subgroup("Omega", a, b, q, sign="-")
-        from .linalg import reflection
-
-        refl = reflection(inner.frame, inner.frame.basis(2 * a - 2))
-        frob = construct.twisted_frobenius(inner.frame, 1)
-        gens = spec.gens + [lift(refl), lift(frob)]
-        ext = inner.frame.field
-        sub = spec.frame.field
-        expected = (ext.f // sub.f) * 2 * inner.expected_order
-        return gens, spec.frame, expected, False
-    raise FactorLabError(f"unknown H recipe {kind!r}")
+    if kind not in RECIPES:
+        raise FactorLabError(f"unknown recipe kind {kind!r}")
+    return RECIPES[kind], [bindings.get(a, a) if isinstance(a, str) else a for a in args]
 
 
-def _build_k_chain(desc, bindings, dom, seed, caps):
-    kind, *args = desc
-    args = _resolve(args, bindings)
-    if kind == "parabolic_p1_residual":
-        spec, residual_order = construct.parabolic_p1_sp_residual(*args)
-        chain = solvable_residual(spec.gens, dom, seed=seed, cap=caps["max_enum"])
-        return chain, residual_order
-    raise FactorLabError(f"unknown K recipe {kind!r}")
+def _build_group(desc, bindings):
+    """(spec, residual): the group a recipe builds, and whether the recipe
+    means the solvable residual of that group."""
+    (role, builder), args = _recipe(desc, bindings)
+    if builder is None:
+        return _build_group(args[0], bindings)[0], True
+    return getattr(construct, builder)(*args), role == "residual"
 
 
-def _build_domain(desc, frame, bindings, ambient_desc, seed, caps):
-    kind, *args = desc
-    cap = caps["max_domain"]
-    if kind == "NonzeroVectors":
-        return nonzero_vectors(frame, cap)
-    if kind == "NormLevelSet":
-        return norm_level_set(frame, args[0], cap)
-    if kind == "SingularNonzeroVectors":
-        return singular_vectors(frame, cap)
-    if kind == "RefinedAntiflags":
-        return refined_antiflags(frame, cap)
-    if kind == "FormOrbit":
-        sign = args[0]
-        amb = construct.gens_classical(*_resolve(ambient_desc[1:], bindings))
-        seed_frame = construct.SpaceFrame.quadratic(frame.field, frame.n, sign)
-        return form_orbit(amb.frame, seed_frame.form, amb.gens, cap)
-    if kind == "MinusPairOrbit":
-        # ordered pair (v, u) spanning a nondegenerate minus-type 2-space:
-        # v = e1 + f1 and u = e1 + e2 + mu f2 with x^2 + x + mu irreducible
-        from .gf import find_irreducible_mu
-        from .linalg import vec_add, vec_scale
-        from .perm import ordered_vector_pairs
+def _build_chain(spec, residual, dom, seed, caps):
+    if residual:
+        return solvable_residual(spec.gens, dom, seed=seed, cap=caps["max_enum"])
+    return bsgs(spec.gens, dom, seed=seed, target_order=spec.expected_order)
 
-        amb = construct.gens_classical(*_resolve(ambient_desc[1:], bindings))
-        F = amb.frame.field
-        mu = find_irreducible_mu(F)
-        v = vec_add(F, amb.frame.basis(0), amb.frame.basis(1))
-        u = vec_add(F, amb.frame.basis(0),
-                    vec_add(F, amb.frame.basis(2), vec_scale(F, mu, amb.frame.basis(3))))
-        return ordered_vector_pairs(amb.frame, (v, u), amb.gens, cap)
-    raise FactorLabError(f"unknown domain kind {kind!r}")
+
+def _build_domain(desc, frame, bindings, ambient, cap):
+    (role, builder, *seeder), args = _recipe(desc, bindings)
+    build = getattr(perm, builder)
+    if role == "frame":
+        return build(frame, *args, cap)
+    amb, _ = _build_group(ambient, bindings)
+    return build(amb.frame, getattr(construct, seeder[0])(amb.frame, *args), amb.gens, cap)
 
 
 def verify_tier_b(case: ConcreteCase, seed=0, caps=None) -> VerificationReport:
@@ -202,12 +152,10 @@ def verify_tier_b(case: ConcreteCase, seed=0, caps=None) -> VerificationReport:
         exp = {k: order_of(rec.shape(k), bnd) for k in ("G", "H", "K", "int")}
         if exp["H"] > caps["max_group"]:
             return VerificationReport(case.id, "B", "SKIPPED(scale)", seed=seed)
-        gens_h, frame, h_expected, take_residual = _build_h(tb["H"], bnd, seed)
-        dom = _build_domain(tb["domain"], frame, bnd, tb.get("ambient"), seed, caps)
-        if take_residual:
-            h_chain = solvable_residual(gens_h, dom, seed=seed, cap=caps["max_enum"])
-        else:
-            h_chain = bsgs(gens_h, dom, seed=seed, target_order=h_expected)
+        spec_h, residual = _build_group(tb["H"], bnd)
+        dom = _build_domain(tb["domain"], spec_h.frame, bnd, tb.get("ambient"),
+                            caps["max_domain"])
+        h_chain = _build_chain(spec_h, residual, dom, seed, caps)
         computed["orderH"] = h_chain.order()
         if computed["orderH"] != exp["H"]:
             return _fail(case, computed, exp, seed, t0, "construction: |H| mismatch")
@@ -222,7 +170,7 @@ def verify_tier_b(case: ConcreteCase, seed=0, caps=None) -> VerificationReport:
                 computed["orbitSize"] = dom.size
                 return _fail(case, computed, exp, seed, t0,
                              f"domain size {dom.size} != [G:K] = {index}")
-            orb = orbit(gens_h, dom.points[0], dom)
+            orb = orbit(spec_h.gens, dom.points[0], dom)
             computed["orbitSize"] = len(orb)
             if len(orb) != index:
                 return _fail(case, computed, exp, seed, t0, "H is not transitive on [G:K]")
@@ -230,25 +178,16 @@ def verify_tier_b(case: ConcreteCase, seed=0, caps=None) -> VerificationReport:
                 return _fail(case, computed, exp, seed, t0, "orbit size does not divide |H|")
             computed["orderInt"] = computed["orderH"] // index
         elif tb["route"] == "sift":
-            k_chain, _ = _build_k_chain(tb["K"], bnd, dom, seed, caps)
+            k_chain = _build_chain(*_build_group(tb["K"], bnd), dom, seed, caps)
             computed["orderK"] = k_chain.order()
             if computed["orderK"] != exp["K"]:
                 return _fail(case, computed, exp, seed, t0, "construction: |K| mismatch")
-            inter = [g for g in h_chain.elements(caps["max_enum"]) if k_chain.contains(g)]
+            inter = enumerate_and_sift(h_chain, k_chain, caps["max_enum"])
             computed["orderInt"] = len(inter)
             if "residual_int" in tb:
-                from .perm import StabChain, derived_chain
-
-                cur = StabChain(inter, dom.size, seed=seed, known_base=dom.known_base)
-                gens_cur = [list(g) for g in inter]
-                while True:
-                    nxt = derived_chain(gens_cur, dom.size, seed=seed, cap=caps["max_enum"],
-                                        known_base=dom.known_base)
-                    if nxt.order() in (cur.order(), 1):
-                        break
-                    cur, gens_cur = nxt, nxt.strong_gens()
-                computed["residualOrderInt"] = nxt.order()
-                if nxt.order() != tb["residual_int"]:
+                res = solvable_residual(inter, dom, seed=seed, cap=caps["max_enum"])
+                computed["residualOrderInt"] = res.order()
+                if res.order() != tb["residual_int"]:
                     return _fail(case, computed, exp, seed, t0,
                                  "solvable residual of the intersection mismatch")
             # criterion (f) cross-check: H transitive on the cosets of K
@@ -318,8 +257,6 @@ def tier_a_cases(records, caps=None):
 
 
 def tier_b_cases(records):
-    from .tables import _derived_expansions
-
     for rec in records:
         if not rec.tier_b:
             continue
@@ -333,7 +270,7 @@ def tier_b_cases(records):
             yield ConcreteCase(rec, bnd)
 
 
-def sweep(records, tier="a", caps=None, seed=0, table=None, row=None, jobs=1, sub=None):
+def sweep(records, tier="a", caps=None, seed=0, table=None, row=None, sub=None):
     """Run a tier over the (filtered) records; returns (reports, summary)."""
     caps = {**DEFAULT_CAPS, **(caps or {})}
     chosen = [
@@ -343,14 +280,7 @@ def sweep(records, tier="a", caps=None, seed=0, table=None, row=None, jobs=1, su
     ]
     reports = []
     if tier in ("a", "both"):
-        cases = list(tier_a_cases(chosen, caps))
-        if jobs > 1:
-            import multiprocessing as mp
-
-            with mp.Pool(jobs) as pool:
-                reports.extend(pool.map(verify_tier_a, cases))
-        else:
-            reports.extend(verify_tier_a(c) for c in cases)
+        reports.extend(verify_tier_a(c) for c in tier_a_cases(chosen, caps))
     if tier in ("b", "both"):
         for case in tier_b_cases(chosen):
             reports.append(verify_tier_b(case, seed=seed, caps=caps))

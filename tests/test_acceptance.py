@@ -206,7 +206,7 @@ def test_criterion_5_criterion_equivalence():
             gens_k = [chain.random_element(rng) for _ in range(rng.randrange(1, 3))]
             H = bsgs_from_perms(gens_h, dom.size)
             K = bsgs_from_perms(gens_k, dom.size)
-            n_int = enumerate_and_sift(H, K)
+            n_int = len(enumerate_and_sift(H, K))
             d_holds = order_g * n_int == H.order() * K.order()
             f_holds = _coset_orbit_size(H, K, dom.size) == order_g // K.order()
             assert d_holds == f_holds, (fam, n, q, H.order(), K.order())
@@ -261,15 +261,7 @@ def test_criterion_6_solvable_residual():
 
             if StabChain(pergens, dom.size, seed=trial).order() == 720:
                 break
-        from factorlab.perm import derived_chain
-
-        cur, cur_gens = None, pergens
-        while True:
-            nxt = derived_chain(cur_gens, dom.size, seed=trial)
-            if cur is not None and nxt.order() in (cur, 1):
-                break
-            cur, cur_gens = nxt.order(), nxt.strong_gens()
-        orders.add(cur)
+        orders.add(solvable_residual(pergens, dom, seed=trial).order())
     elapsed = time.time() - t0
     _report(
         "criterion 6: solvable residual (360 for Sp_4(2); trivial for solvable; "

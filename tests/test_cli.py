@@ -154,12 +154,6 @@ def test_check_triple_field_mismatch(capsys, tmp_path):
     assert "field" in err.lower()
 
 
-def test_sweep_jobs_parallel(capsys):
-    code, out, _ = run(capsys, "sweep", "--tier", "a", "--table", "3", "--jobs", "2")
-    assert code == 0
-    assert out.strip().endswith("tables=1 cases=6 pass=6 fail=0 skipped=0")
-
-
 def test_sweep_json_matches_text_numbers(capsys):
     code, text_out, _ = run(capsys, "sweep", "--tier", "a", "--table", "1", "--row", "13")
     assert code == 0

@@ -6,11 +6,9 @@ from factorlab.errors import SignParityMismatch
 from factorlab.gf import FieldSpec
 from factorlab.linalg import GroupElem, MatF, in_omega, is_isometry
 from factorlab.construct import (
-    adjoin,
     blowup_elem,
     ext_field_subgroup,
     frobenius_elem,
-    gamma_swap,
     gens_classical,
     parabolic_p1_sp_residual,
     pm_residual,
@@ -94,7 +92,7 @@ def test_blowup_is_functorial_and_order_preserving():
     assert bsgs(big, dom, seed=0, target_order=60).order() == 60
     # adjoining the Frobenius gives SigmaL_2(4) of order 120
     sigma = blowup_elem(GroupElem(MatF.identity(F4, 2), 1), F2)
-    assert bsgs(adjoin(big, sigma), dom, seed=0, target_order=120).order() == 120
+    assert bsgs(big + [sigma], dom, seed=0, target_order=120).order() == 120
 
 
 def test_unblow_roundtrip():
@@ -178,10 +176,6 @@ def test_pm_residual_orders(family, m, q, expected):
 
 
 def test_gamma_and_frobenius_elements():
-    spec = gens_classical("Sp", 4, 2)
-    g = gamma_swap(spec.frame)
-    assert is_isometry(g, spec.frame.form)
-    assert g.act((1, 0, 0, 0)) == (0, 1, 0, 0)
     f = frobenius_elem(gens_classical("SU", 3, 2).frame, 1)
     assert f.frob == 1
 
@@ -208,8 +202,8 @@ def test_ext_field_intersection_with_orthogonal_by_sifting():
     o_gens.append(reflection(omega.frame, w))
     k_full = bsgs(o_gens, dom_o, seed=0, target_order=2 * omega.expected_order)
     k_omega = bsgs(omega.gens, dom_o, seed=0, target_order=omega.expected_order)
-    assert enumerate_and_sift(h_chain, k_full) == 18   # O_2^-(8)
-    assert enumerate_and_sift(h_chain, k_omega) == 9   # Omega_2^-(8)
+    assert len(enumerate_and_sift(h_chain, k_full)) == 18   # O_2^-(8)
+    assert len(enumerate_and_sift(h_chain, k_omega)) == 9   # Omega_2^-(8)
 
 
 def test_omega_index_two_in_full_orthogonal():
@@ -253,59 +247,3 @@ def test_bsgs_invariant_under_shuffle_and_seed():
     shuffled = list(spec.gens)
     _r.Random(3).shuffle(shuffled)
     assert bsgs(shuffled, dom, seed=5).order() == base == 720
-
-
-def test_adjoin_index_check():
-    from factorlab.errors import NotNormalizing
-
-    sl24 = gens_classical("SL", 2, 4)
-    F2 = FieldSpec.get(2)
-    big = [blowup_elem(g, F2) for g in sl24.gens]
-    from factorlab.construct import classical_frame
-
-    dom = nonzero_vectors(classical_frame("SL", 4, 2))
-    sigma = blowup_elem(frobenius_elem(sl24.frame, 1), F2)
-    gens = adjoin(big, sigma, dom=dom, expected_index=2)
-    assert len(gens) == len(big) + 1
-    with pytest.raises(NotNormalizing):
-        adjoin(big, sigma, dom=dom, expected_index=4)
-    # adjoining the identity changes nothing
-    ident = blowup_elem(frobenius_elem(sl24.frame, 0), F2)
-    adjoin(big, ident, dom=dom, expected_index=1)
-
-
-def _brute_force_isometries(frame, det_one):
-    """Every n x n matrix over the field, in lexicographic order, kept when
-    it is an invertible isometry (of determinant 1 if det_one)."""
-    from itertools import product
-
-    F, n = frame.field, frame.n
-    out = []
-    for flat in product(F.elements(), repeat=n * n):
-        m = MatF(F, [flat[i * n : (i + 1) * n] for i in range(n)])
-        if m.det() == 0 or (det_one and m.det() != 1):
-            continue
-        g = GroupElem(m)
-        if is_isometry(g, frame.form):
-            out.append(g)
-    return out
-
-
-@pytest.mark.parametrize("det_one", [False, True])
-def test_small_isometry_group_matches_brute_force(monkeypatch, det_one):
-    import factorlab.construct as construct
-    from factorlab.linalg import SpaceFrame
-
-    monkeypatch.setattr(construct, "_SMALL_GROUP_CACHE", {})
-    F2, F3, F4 = FieldSpec.get(2), FieldSpec.get(3), FieldSpec.get(4)
-    frames = [
-        SpaceFrame.hermitian(F4, 2),
-        SpaceFrame.symplectic(F3, 1),
-        SpaceFrame.quadratic(F2, 2, "-"),
-        SpaceFrame.quadratic(F3, 2, "+"),
-        SpaceFrame.quadratic(F3, 3, "odd"),
-    ]
-    for frame in frames:
-        got = construct._small_isometry_group(frame, det_one=det_one)
-        assert got == _brute_force_isometries(frame, det_one), frame.form.kind
-        assert got

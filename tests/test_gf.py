@@ -142,13 +142,3 @@ def test_serialization_roundtrip():
     F = FieldSpec.get(8)
     doc = F.serialize()
     assert FieldSpec.deserialize(doc) == F
-
-
-def test_arith_dispatch():
-    F4 = FieldSpec.get(4)
-    assert F4.arith(2, 2, "mul") == 3
-    assert F4.arith(2, 3, "add") == 1
-    assert F4.arith(2, None, "inv") == 3
-    assert F4.arith(2, 3, "pow") == 1
-    with pytest.raises(ValueError):
-        F4.arith(1, 1, "sub")

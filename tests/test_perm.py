@@ -17,12 +17,12 @@ from factorlab.perm import (
     compose,
     derived_chain,
     enumerate_and_sift,
+    form_orbit,
     inverse,
     is_identity,
     nonzero_vectors,
     norm_level_set,
     orbit,
-    projective_points,
     refined_antiflags,
     solvable_residual,
 )
@@ -73,14 +73,13 @@ def test_bsgs_orders_with_and_without_target():
     F, gens = sl3_2_gens()
     fr = SpaceFrame.symplectic(F, 1)
     fr = SpaceFrame(F, 3, fr.form, ("a", "b", "c"))  # only dimensions matter here
-    dom = projective_points(fr)
+    dom = nonzero_vectors(fr)
     assert dom.size == 7
     chain = bsgs(gens, dom, seed=0, target_order=168)
     assert chain.order() == 168
     chain2 = bsgs(gens, dom, seed=1)
     assert chain2.order() == 168
-    dom2 = nonzero_vectors(fr)
-    chain3 = bsgs(gens, dom2, seed=5)
+    chain3 = bsgs(gens, dom, seed=5)
     assert chain3.order() == 168
 
 
@@ -133,9 +132,9 @@ def test_enumerate_and_sift_self_and_trivial():
     fr = SpaceFrame.symplectic(F, 1)
     dom = nonzero_vectors(fr)
     H = bsgs(gens, dom, seed=0)
-    assert enumerate_and_sift(H, H) == H.order()
+    assert enumerate_and_sift(H, H) == list(H.elements())
     triv = StabChain([], dom.size)
-    assert enumerate_and_sift(triv, H) == 1
+    assert enumerate_and_sift(triv, H) == [list(range(dom.size))]
 
 
 def perm_group(*cycles_list, n):
@@ -240,25 +239,15 @@ def test_domain_counts_match_closed_forms():
 def test_bsgs_not_faithful_on_projective_domain():
     from factorlab.errors import NotFaithful
 
-    F = FieldSpec.get(4)
+    # -I fixes every quadratic form, as a scalar fixes every projective
+    # point: its orbit on forms is one point, on which it acts trivially
+    F = FieldSpec.get(3)
     fr = SpaceFrame.symplectic(F, 1)
-    dom = projective_points(fr)
-    scalar = GroupElem(MatF(F, ((2, 0), (0, 2))), 0)  # acts trivially on lines
+    minus_one = GroupElem(MatF(F, ((2, 0), (0, 2))), 0)
+    dom = form_orbit(fr, SpaceFrame.quadratic(F, 2, "+").form, [minus_one])
+    assert dom.size == 1
     with pytest.raises(NotFaithful):
-        bsgs([scalar], dom)
-
-
-def test_unordered_pair_orbit():
-    from factorlab.construct import gens_classical
-    from factorlab.perm import unordered_vector_pairs
-
-    sp = gens_classical("Sp", 4, 2)
-    e1, f1 = sp.frame.basis(0), sp.frame.basis(1)
-    dom = unordered_vector_pairs(sp.frame, (e1, f1), sp.gens)
-    # hyperbolic pairs {e, f} with beta(e, f) = 1: 15 * 8 / 2
-    assert dom.size == 60
-    chain = bsgs(sp.gens, dom, seed=0)
-    assert chain.order() == 720  # still faithful here
+        bsgs([minus_one], dom)
 
 
 # -- known base and word sifting ---------------------------------------------------
@@ -383,9 +372,8 @@ def test_enumerate_and_sift_on_words_matches_full_permutations(fam, n, q):
         K_plain = StabChain(k_gens, dom.size, seed=seed)
         elements = list(H.elements())
         assert [_product(w, dom.size) for w in H.words()] == elements
-        expected = sum(1 for g in elements if K_plain.contains(g))
-        assert enumerate_and_sift(H, K) == expected
-        assert enumerate_and_sift(H, ambient) == H.order()
+        assert enumerate_and_sift(H, K) == [g for g in elements if K_plain.contains(g)]
+        assert enumerate_and_sift(H, ambient) == elements
 
 
 def _check_level(lvl):

@@ -117,7 +117,7 @@ def test_tier_b_scale_cap_stops_before_building(records, monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("H was built although |H| exceeds max_group")
 
-    monkeypatch.setattr(verify, "_build_h", boom)
+    monkeypatch.setattr(verify, "_build_group", boom)
     monkeypatch.setattr(verify, "_build_domain", boom)
     case = next(c for c in tier_b_cases(records) if c.record.id == "T2.2")
     r = verify_tier_b(case, seed=0, caps={"max_group": 10})
@@ -169,3 +169,34 @@ def test_tier_b_unbound_recipe_symbol_is_skipped_and_the_sweep_goes_on(records):
     assert reports[0].status.startswith("SKIPPED(config:")
     assert reports[1].status == "PASS"
     assert summary["skipped"] == 1 and summary["pass"] == 1
+
+
+def _recipe_kinds(desc):
+    """The kind of a recipe and of every recipe nested in its arguments."""
+    kind, *args = desc
+    yield kind
+    for a in args:
+        if isinstance(a, list):
+            yield from _recipe_kinds(a)
+
+
+def test_every_recipe_kind_resolves_and_every_registry_entry_is_used(records):
+    import factorlab.construct as construct
+    import factorlab.perm as perm
+    from factorlab.verify import RECIPES
+
+    roles = {"H": {"group", "residual"}, "K": {"group", "residual"},
+             "ambient": {"group", "residual"}, "domain": {"frame", "orbit"}}
+    named = set()
+    for rec in records:
+        for key, allowed in roles.items():
+            if rec.tier_b and key in rec.tier_b:
+                for kind in _recipe_kinds(rec.tier_b[key]):
+                    assert kind in RECIPES, (rec.id, key, kind)
+                    assert RECIPES[kind][0] in allowed, (rec.id, key, kind)
+                    named.add(kind)
+    assert named == set(RECIPES)  # a dead entry fails here
+    for kind, (role, builder, *seed) in RECIPES.items():
+        module = perm if role in ("frame", "orbit") else construct
+        assert builder is None or callable(getattr(module, builder, None)), kind
+        assert all(callable(getattr(construct, s, None)) for s in seed), kind

@@ -90,9 +90,9 @@ def _field_basis(F: FieldSpec):
     return out
 
 
-def _coeff_pool(F, rich):
-    if rich:
-        return [c for c in F.elements() if c]
+def _coeff_pool(F):
+    """1, a primitive element and -1: the last coefficients of the chain
+    directions of the Omega generating sets."""
     pool = [1]
     if F.q > 2:
         if F._exp is None:
@@ -103,16 +103,15 @@ def _coeff_pool(F, rich):
     return pool
 
 
-def _directions(frame, coeffs):
-    """Vectors with at most two nonzero coordinates, leading coordinate 1."""
-    n = frame.n
+def _chain_directions(n, pool, width):
+    """Directions along the chain b_1, ..., b_n of the frame's basis: every
+    b_i, and b_i + ... + b_(i+k-2) + c b_(i+k-1) for 2 <= k <= width and c
+    in pool, so each direction has consecutive support of length <= width."""
     out = [_unit(n, i) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for c in coeffs:
-                v = list(_unit(n, i))
-                v[j] = c
-                out.append(tuple(v))
+    for k in range(2, width + 1):
+        for i in range(n - k + 1):
+            for c in pool:
+                out.append((0,) * i + (1,) * (k - 1) + (c,) + (0,) * (n - i - k))
     return out
 
 
@@ -144,16 +143,15 @@ def _form_transvection(frame, u, lam):
     return GroupElem(MatF(F, rows))
 
 
-def _sp_gens(frame, rich=False):
+def _sp_gens(frame):
+    """The transvections T_u(lam), u a chain direction b_i or b_i + b_(i+1)
+    and lam an F_p-basis element of F: (2n - 1) f elements, which generate
+    Sp(n, q) (Taylor, The Geometry of the Classical Groups, 1992, ch. 8).
+    The tests prove by untargeted chains that each set in use generates the
+    whole group."""
     F = frame.field
-    gens, seen = [], set()
-    for u in _directions(frame, _coeff_pool(F, rich)):
-        for lam in _field_basis(F):
-            g = _form_transvection(frame, u, lam)
-            if g not in seen and not g.is_identity():
-                seen.add(g)
-                gens.append(g)
-    return gens
+    return [_form_transvection(frame, u, lam)
+            for u in _chain_directions(frame.n, [1], 2) for lam in _field_basis(F)]
 
 
 def _trace_zero_basis(F: FieldSpec, half: int):
@@ -202,7 +200,7 @@ def _isotropic_points(frame):
 _SU32_GENS = (((0, 2, 0), (2, 3, 1), (0, 3, 2)), ((0, 2, 0), (2, 3, 2), (0, 2, 2)))
 
 
-def _su_gens(frame, rich=False):
+def _su_gens(frame):
     """A small generating set of SU(n, q) over a hermitian frame.
 
     n = 2: every isotropic transvection (the root groups of SU_2(q) = SL_2(q)).
@@ -236,26 +234,19 @@ def _su_gens(frame, rich=False):
     return gens
 
 
-def _omega_gens(frame, rich=False):
-    """Products of two reflections with square spinor contribution."""
+def _omega_gens(frame):
+    """Products r_w0 r_w of two reflections, w running over the nonsingular
+    chain directions b_i, b_i + c b_(i+1) and b_i + b_(i+1) + c b_(i+2) (c in
+    the coefficient pool): at most n - 1 + (2n - 3) |pool| elements (Taylor,
+    The Geometry of the Classical Groups, 1992, ch. 11).  For odd q, w0 and w
+    share the square class of Q(w), so that every product lies in Omega.
+    Support three links the hyperbolic pairs, whose vectors f_i + c e_(i+1)
+    are singular.  The tests prove by untargeted chains that each set in use
+    generates the whole group."""
     F = frame.field
     form = frame.form
-    pool = _coeff_pool(F, rich)
-    cands = [w for w in _directions(frame, pool) if form.quadratic(w) != 0]
-    if len(cands) < 2 * frame.n:
-        # plus-type frames in characteristic 2 have no nonsingular vectors of
-        # support <= 2 beyond e_i + f_i; widen to support three
-        n = frame.n
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    for c1 in pool:
-                        for c2 in pool:
-                            v = [0] * n
-                            v[i], v[j], v[k] = 1, c1, c2
-                            v = tuple(v)
-                            if form.quadratic(v) != 0:
-                                cands.append(v)
+    dirs = _chain_directions(frame.n, _coeff_pool(F), 3)
+    cands = [w for w in dirs if form.quadratic(w) != 0]
     gens, seen = [], set()
     if F.p == 2:
         pools = [cands]
@@ -295,17 +286,21 @@ def classical_frame(family: str, n: int, q: int) -> SpaceFrame:
     raise UnsupportedParameters(f"no frame for family {family!r}")
 
 
-def gens_classical(family: str, n: int, q: int, rich=False) -> GroupPresentationSpec:
-    """Generators for a classical group over its canonical frame."""
+def gens_classical(family: str, n: int, q: int) -> GroupPresentationSpec:
+    """Generators for a classical group over its canonical frame: the root
+    elements of SL, a few elements of SU (`_su_gens`), and for Sp and Omega
+    short sets along the chain of adjacent basis directions (`_sp_gens`,
+    `_omega_gens`).  A test proves that each set in use generates the whole
+    group."""
     frame = classical_frame(family, n, q)
     if family == "SL":
         gens = _sl_gens(frame.field, n)
     elif family == "Sp":
-        gens = _sp_gens(frame, rich)
+        gens = _sp_gens(frame)
     elif family == "SU":
-        gens = _su_gens(frame, rich)
+        gens = _su_gens(frame)
     elif family in _FRAME_SIGN:
-        gens = _omega_gens(frame, rich)
+        gens = _omega_gens(frame)
     else:
         raise UnsupportedParameters(f"no generators for family {family!r}")
     expected = classical_order(family, n, q)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from factorlab import construct
 from factorlab.errors import SignParityMismatch
 from factorlab.gf import FieldSpec
 from factorlab.linalg import GroupElem, MatF, in_omega, is_isometry
@@ -18,6 +19,9 @@ from factorlab.construct import (
 )
 from factorlab.perm import bsgs, nonzero_vectors, norm_level_set, orbit, solvable_residual
 from factorlab.shapes import classical_order
+from factorlab.tables import load_db
+from factorlab.verify import sweep
+from test_acceptance import ORACLE_GROUPS
 
 
 @pytest.mark.parametrize(
@@ -44,16 +48,59 @@ def test_gens_classical_orders(family, n, q, expected):
     assert chain is not None and chain.order() == expected
 
 
-@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (3, 4), (4, 2), (5, 2)])
-def test_su_generating_sets_generate_su(n, q):
-    # every SU(n, q) a recipe or test builds: the few generators lie in SU
-    # and an untargeted chain, whose order is proven, reaches |SU(n, q)|
-    spec = gens_classical("SU", n, q)
-    assert len(spec.gens) <= 6
+def _sweep_groups():
+    """Every (family, n, q) that `sweep --tier b` passes to gens_classical,
+    recorded during a sweep, so that the list follows the database."""
+    seen = []
+    build = construct.gens_classical
+
+    def record(family, n, q):
+        if (family, n, q) not in seen:
+            seen.append((family, n, q))
+        return build(family, n, q)
+
+    construct.gens_classical = record
+    try:
+        sweep(load_db(), tier="b")
+    finally:
+        construct.gens_classical = build
+    return seen
+
+
+def _size_bound(family, n, q):
+    """The documented bound on the size of each generating set."""
+    f = FieldSpec.get(q).f
+    if family == "SL":
+        return n * (n - 1) * f
+    if family == "Sp":
+        return (2 * n - 1) * f
+    if family == "SU":
+        return 6
+    # Omega: the chain directions but one, over the pool 1, a primitive
+    # element and (odd q) -1
+    pool = 1 if q == 2 else 2 if q % 2 == 0 else 3
+    return n - 1 + (2 * n - 3) * pool
+
+
+# the TIER-B groups, the G of the Sp_6(3) triple and the order-oracle groups
+GENERATED = list(dict.fromkeys(_sweep_groups() + [("Sp", 6, 3)] + ORACLE_GROUPS))
+
+
+@pytest.mark.parametrize("family,n,q", GENERATED)
+def test_generating_sets_generate(family, n, q):
+    # the few generators lie in the group, and an untargeted chain, whose
+    # order is proven, reaches its order
+    spec = gens_classical(family, n, q)
+    assert len(spec.gens) <= _size_bound(family, n, q)
+    frame = spec.frame
     for g in spec.gens:
-        assert is_isometry(g, spec.frame.form) and g.mat.det() == 1
-    chain = bsgs(spec.gens, nonzero_vectors(spec.frame), seed=0)
-    assert chain.order() == classical_order("SU", n, q)
+        assert g.mat.det() == 1
+        if frame.form is not None:
+            assert is_isometry(g, frame.form)
+            if frame.form.kind == "quadratic":
+                assert in_omega(g, frame)
+    chain = bsgs(spec.gens, nonzero_vectors(frame), seed=0)
+    assert chain.order() == classical_order(family, n, q)
 
 
 @pytest.mark.parametrize("m,sign", [(5, "-"), (4, "+")])

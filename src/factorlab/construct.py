@@ -30,8 +30,10 @@ from .linalg import (
     is_square,
     quadratic_change_of_basis,
     reflection,
+    row_reduce,
     symplectic_change_of_basis,
     vec_add,
+    vec_mat,
     vec_scale,
 )
 from .perm import bsgs, form_values, nonzero_vectors
@@ -155,24 +157,11 @@ def _sp_gens(frame):
 
 
 def _trace_zero_basis(F: FieldSpec, half: int):
-    """F_p-basis of the trace-zero elements of F = GF(q0^2), q0 = p^half."""
-    out = []
-    echelon = []
-    for x in F.elements():
-        if x == 0 or F.add(x, F.frobenius(x, half)) != 0:
-            continue
-        red = list(F.digits(x))
-        for pivot, row in echelon:
-            if red[pivot]:
-                c = (-red[pivot] * pow(row[pivot], -1, F.p)) % F.p
-                red = [(a + c * b) % F.p for a, b in zip(red, row)]
-        piv = next((i for i, v in enumerate(red) if v), None)
-        if piv is not None:
-            echelon.append((piv, red))
-            out.append(x)
-        if len(out) == half:
-            break
-    return out
+    """F_p-basis of the trace-zero elements of F = GF(q0^2), q0 = p^half: the
+    first ones in element order that are independent over F_p."""
+    zero = [x for x in F.elements() if x and F.add(x, F.frobenius(x, half)) == 0]
+    kept = row_reduce(FieldSpec.get(F.p), [F.digits(x) for x in zero])[1]
+    return [zero[i] for i in kept]
 
 
 def _isotropic_points(frame):
@@ -329,46 +318,18 @@ def _subfield_coords(ext: FieldSpec, sub: FieldSpec):
     for t in range(b):
         for s in _field_basis(sub):
             cols.append((t, s, ext.mul(ext.embed(s, sub), wpow[t])))
+    # the products s w^t are an F_p-basis of ext: one inverse over F_p turns
+    # the digits of any x into its coefficients on them
+    Fp = FieldSpec.get(ext.p)
+    to_coeffs = MatF(Fp, [ext.digits(val) for _, _, val in cols]).inv()
     table = {}
     for x in ext.elements():
-        rows = [[0] * len(cols) + [d] for d in ext.digits(x)]
-        for ci, (_, _, val) in enumerate(cols):
-            for ri, d in enumerate(ext.digits(val)):
-                rows[ri][ci] = d
-        sol = _solve_fp(rows, ext.p)
         out = [0] * b
-        for ci, (t, s, _) in enumerate(cols):
-            if sol[ci]:
-                out[t] = sub.add(out[t], sub.mul(sol[ci] % sub.p, s))
+        for (t, s, _), c in zip(cols, vec_mat(Fp, ext.digits(x), to_coeffs)):
+            if c:
+                out[t] = sub.add(out[t], sub.mul(c, s))
         table[x] = tuple(out)
     return table, wpow
-
-
-def _solve_fp(rows, p):
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) - 1
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p:
-                fct = rows[i][c]
-                rows[i] = [(x - fct * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][ncols] % p:
-            raise VerificationFailed("inconsistent blow-up coordinate system")
-    sol = [0] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = rows[i][ncols] % p
-    return sol
 
 
 _COORD_CACHE = {}

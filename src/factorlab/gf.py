@@ -407,17 +407,6 @@ def _find_irreducible(p, f):
 
 # -- the special constants the subgroup recipes need -----------------------
 
-def solve_trace_one(ext: FieldSpec, sub: FieldSpec):
-    """Some lam in GF(q^2) with lam + lam^q = 1, where q = |sub|."""
-    if sub.key not in ext._subfields:
-        ext.register_subfield(sub)
-    one = ext.embed(1, sub)
-    for lam in range(ext.q):
-        if ext.add(lam, ext.frobenius(lam, sub.f)) == one:
-            return lam
-    raise NoSuchConstant("trace is surjective; unreachable")
-
-
 def find_irreducible_mu(fld: FieldSpec):
     """Some mu in fld with x^2 + x + mu irreducible over fld."""
     values = {fld.neg(fld.add(fld.mul(t, t), t)) for t in fld.elements()}

@@ -1,6 +1,11 @@
 """Matrices and semilinear maps over a FieldSpec; bilinear/quadratic/hermitian
 forms; standard frames; isometry and Omega-membership tests; reflections.
 
+All linear algebra goes through one Gauss-Jordan routine, `row_reduce`:
+inverse, determinant, independent subsets, and Omega membership, which reads
+the Dickson invariant (rank of 1 - g, characteristic 2) or the spinor norm
+(discriminant of the Wall form on V(1 - g), odd characteristic) off it.
+
 Vectors are row vectors acted on the right: v |-> (v^(phi^j)) * M.
 """
 
@@ -79,60 +84,60 @@ class MatF:
         return self.map_entries(lambda x: F.frobenius(x, j))
 
     def inv(self) -> "MatF":
-        F, n = self.owner, self.n
-        aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col]), None)
-            if piv is None:
-                raise DimensionMismatch("matrix is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            s = F.inv(aug[col][col])
-            if s != 1:
-                aug[col] = [F.mul(s, x) for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    c = aug[r][col]
-                    aug[r] = [F.sub(x, F.mul(c, y)) for x, y in zip(aug[r], aug[col])]
-        return MatF(F, tuple(tuple(row[n:]) for row in aug))
+        n = self.n
+        aug = [[*row, *(1 if i == j else 0 for j in range(n))] for i, row in enumerate(self.rows)]
+        rows = row_reduce(self.owner, aug)[0]
+        if any(c >= n for c in rows):
+            raise DimensionMismatch("matrix is singular")
+        return MatF(self.owner, tuple(tuple(rows[c][n:]) for c in range(n)))
 
     def det(self):
-        F, n = self.owner, self.n
-        m = [list(r) for r in self.rows]
-        det = 1
-        for col in range(n):
-            piv = next((r for r in range(col, n) if m[r][col]), None)
-            if piv is None:
-                return 0
-            if piv != col:
-                m[col], m[piv] = m[piv], m[col]
-                det = F.neg(det)
-            det = F.mul(det, m[col][col])
-            inv = F.inv(m[col][col])
-            for r in range(col + 1, n):
-                if m[r][col]:
-                    c = F.mul(m[r][col], inv)
-                    m[r] = [F.sub(x, F.mul(c, y)) for x, y in zip(m[r], m[col])]
-        return det
+        return row_reduce(self.owner, self.rows)[2]
 
-    def rank(self) -> int:
-        F = self.owner
-        m = [list(r) for r in self.rows]
-        rank, col = 0, 0
-        n = self.n
-        while rank < n and col < n:
-            piv = next((r for r in range(rank, n) if m[r][col]), None)
-            if piv is None:
-                col += 1
-                continue
-            m[rank], m[piv] = m[piv], m[rank]
-            inv = F.inv(m[rank][col])
-            for r in range(rank + 1, n):
-                if m[r][col]:
-                    c = F.mul(m[r][col], inv)
-                    m[r] = [F.sub(x, F.mul(c, y)) for x, y in zip(m[r], m[rank])]
-            rank += 1
-            col += 1
-        return rank
+
+def row_reduce(F: FieldSpec, vectors):
+    """Gauss-Jordan elimination of the row vectors, taken in order.
+
+    Returns (rows, kept, det):
+      rows -- the reduced rows keyed by pivot column; each is 1 at its own
+              pivot and 0 at every other pivot column, and together they
+              span what the vectors span;
+      kept -- the indices of the vectors independent of the ones before them;
+      det  -- the product of the pivots, negated once per inversion of the
+              pivot columns in input order, or 0 if some vector was
+              dependent: for n vectors of length n, their determinant.
+
+    Reducing a vector by earlier ones leaves the determinant alone, and the
+    reduced vectors, with columns in pivot order, are upper triangular.
+    """
+    mul, sub = F.mul, F.sub
+    rows = {}
+    kept = []
+    det = 1
+    for idx, v in enumerate(vectors):
+        red = list(v)
+        for c, row in rows.items():
+            a = red[c]
+            if a:
+                red = [sub(x, mul(a, y)) if y else x for x, y in zip(red, row)]
+        piv = next((c for c, x in enumerate(red) if x), None)
+        if piv is None:
+            det = 0
+            continue
+        a = red[piv]
+        det = mul(det, a)
+        if sum(1 for c in rows if c > piv) % 2:
+            det = F.neg(det)
+        if a != 1:
+            s = F.inv(a)
+            red = [mul(s, x) for x in red]
+        for c, row in rows.items():
+            b = row[piv]
+            if b:
+                rows[c] = [sub(x, mul(b, y)) if y else x for x, y in zip(row, red)]
+        rows[piv] = red
+        kept.append(idx)
+    return rows, kept, det
 
 
 def vec_frob(F: FieldSpec, v, j: int):
@@ -411,6 +416,14 @@ def reflection(frame: SpaceFrame, w) -> GroupElem:
     return GroupElem(MatF(F, rows), 0)
 
 
+def _one_minus(F: FieldSpec, mat: MatF):
+    """The rows e_i (1 - g) of the matrix 1 - g."""
+    return [
+        tuple(F.sub(1 if i == j else 0, x) for j, x in enumerate(row))
+        for i, row in enumerate(mat.rows)
+    ]
+
+
 def dickson_invariant(g, form: FormSpec) -> int:
     """rank(g - 1) mod 2, for isometries in characteristic 2."""
     mat = g.mat if isinstance(g, GroupElem) else g
@@ -419,14 +432,7 @@ def dickson_invariant(g, form: FormSpec) -> int:
         raise ValueError("Dickson invariant is a characteristic-2 notion")
     if not is_isometry(GroupElem(mat, 0), form):
         raise NotAnIsometry("Dickson invariant of a non-isometry")
-    delta = MatF(
-        F,
-        tuple(
-            tuple(F.sub(x, 1 if i == j else 0) for j, x in enumerate(row))
-            for i, row in enumerate(mat.rows)
-        ),
-    )
-    return delta.rank() % 2
+    return len(row_reduce(F, _one_minus(F, mat))[1]) % 2
 
 
 def is_square(F: FieldSpec, x) -> bool:
@@ -440,8 +446,11 @@ def is_square(F: FieldSpec, x) -> bool:
 def spinor_norm_class(g, frame: SpaceFrame) -> str:
     """'square' or 'nonsquare': the spinor norm of an isometry, odd characteristic.
 
-    Wall-style greedy peeling into reflections; the class is the product of the
-    Q(w_i) modulo squares.
+    The spinor norm is the discriminant of the Wall form chi on W = V(1 - g),
+    chi(x(1 - g), y(1 - g)) = beta(x, y(1 - g)) (Wall 1963; Taylor, The
+    Geometry of the Classical Groups, ch. 11), so that a reflection r_w has
+    spinor norm Q(w).  The kept rows r_j = e_j(1 - g) are a basis of W, and
+    Gram[i][j] = beta(e_i, r_j) over them.
     """
     mat = g.mat if isinstance(g, GroupElem) else g
     F = frame.field
@@ -450,88 +459,15 @@ def spinor_norm_class(g, frame: SpaceFrame) -> str:
     form = frame.form
     if not is_isometry(GroupElem(mat, 0), form):
         raise NotAnIsometry("spinor norm of a non-isometry")
-    n = frame.n
-    ident = MatF.identity(F, n)
-    # odd-order elements lie in the kernel of every map onto a 2-group
-    k = 0
-    power = mat
-    while k < 512:
-        k += 1
-        if power == ident:
-            if k % 2:
-                return "square"
-            break
-        power = power.mul(mat)
-    acc = 1
-    cur = mat
-    guard = 0
-    candidates = None
-    while cur != ident:
-        guard += 1
-        if guard > 8 * n + 16:
-            raise DecompositionFailure("reflection peeling did not terminate")
-        moved = None
-        for i in range(n):
-            b = frame.basis(i)
-            img = vec_mat(F, b, cur)
-            if img == b:
-                continue
-            w = tuple(F.sub(x, y) for x, y in zip(img, b))
-            if form.quadratic(w) != 0:
-                moved = w
-                break
-        if moved is not None:
-            acc = F.mul(acc, form.quadratic(moved))
-            cur = cur.mul(reflection(frame, moved).mat)
-            continue
-        # degenerate step: find any nonsingular u whose reflection unsticks things
-        if candidates is None:
-            candidates = _nonsingular_candidates(frame)
-        done = False
-        for u in candidates:
-            qu = form.quadratic(u)
-            nxt = cur.mul(reflection(frame, u).mat)
-            for i in range(n):
-                b = frame.basis(i)
-                img = vec_mat(F, b, nxt)
-                if img == b:
-                    continue
-                w = tuple(F.sub(x, y) for x, y in zip(img, b))
-                if form.quadratic(w) != 0:
-                    acc = F.mul(acc, qu)
-                    cur = nxt
-                    done = True
-                    break
-            if done:
-                break
-        if not done:
-            raise DecompositionFailure("no valid reflection step")
-    return "square" if is_square(F, acc) else "nonsquare"
-
-
-def _nonsingular_candidates(frame):
-    F = frame.field
-    n = frame.n
-    out = []
-    units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    for i, u in enumerate(units):
-        if frame.form.quadratic(u) != 0:
-            out.append(u)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for c in F.elements():
-                if not c:
-                    continue
-                v = list(units[i])
-                v[j] = c
-                v = tuple(v)
-                if frame.form.quadratic(v) != 0:
-                    out.append(v)
-    return out
+    delta = _one_minus(F, mat)
+    kept = row_reduce(F, delta)[1]
+    gram = [[form.bilinear(frame.basis(i), delta[j]) for j in kept] for i in kept]
+    return "square" if is_square(F, row_reduce(F, gram)[2]) else "nonsquare"
 
 
 def in_omega(g, frame: SpaceFrame) -> bool:
-    """Membership in Omega(V, Q) for an isometry of the frame's quadratic form."""
+    """Membership in Omega(V, Q) for an isometry of the frame's quadratic form:
+    Dickson invariant 0 in characteristic 2, else det 1 and square spinor norm."""
     mat = g.mat if isinstance(g, GroupElem) else g
     F = frame.field
     if F.p == 2:
@@ -580,21 +516,6 @@ def symplectic_change_of_basis(field: FieldSpec, gram: MatF) -> MatF:
     return MatF(field, new_basis)
 
 
-def _independent_subset(field, vectors):
-    basis, echelon = [], []
-    for v in vectors:
-        red = list(v)
-        for pivot, row in echelon:
-            if red[pivot]:
-                c = field.mul(red[pivot], field.inv(row[pivot]))
-                red = [field.sub(x, field.mul(c, y)) for x, y in zip(red, row)]
-        piv = next((i for i, x in enumerate(red) if x), None)
-        if piv is not None:
-            basis.append(v)
-            echelon.append((piv, red))
-    return basis
-
-
 def quadratic_change_of_basis(field: FieldSpec, qfun, n: int, target_mu=None):
     """Split off hyperbolic planes; return (P, sign) with rows a standard basis.
 
@@ -621,7 +542,7 @@ def quadratic_change_of_basis(field: FieldSpec, qfun, n: int, target_mu=None):
             u1 = vec_add(field, u1, vec_scale(field, field.neg(bil(u1, v)), w))
             if any(u1):
                 out.append(u1)
-        return _independent_subset(field, out)
+        return [out[i] for i in row_reduce(field, out)[1]]
 
     pool = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     new_basis = []

@@ -616,6 +616,8 @@ class StabChain:
 
     def _build(self, target_order):
         if not self.gens:
+            if target_order not in (None, 1):
+                raise VerificationFailed(f"order 1, target {target_order}")
             return
         for g in self.gens:
             self._absorb([g])

@@ -428,11 +428,6 @@ def admissible_bindings(record, cap=DEFAULT_ORDER_CAP):
     return list(iter_admissible_bindings(record, cap))
 
 
-def minimal_case(record):
-    """The smallest admissible binding of a record, ignoring the order cap."""
-    return next(iter_admissible_bindings(record, cap=None))
-
-
 def _expr_value(expr, bnd):
     tree = ast.parse(expr.replace("^", "**"), mode="eval")
     return _c_eval(tree.body, bnd)

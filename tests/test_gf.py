@@ -6,7 +6,6 @@ from factorlab.gf import (
     find_irreducible_mu,
     find_mu_norm_minus_one,
     is_prime,
-    solve_trace_one,
     split_prime_power,
 )
 
@@ -110,14 +109,6 @@ def test_trace_is_linear_and_surjective(q, b):
                 assert lhs == rhs
                 break
     assert hit == set(sub.elements())
-
-
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
-def test_solve_trace_one(q):
-    sub = FieldSpec.get(q)
-    ext = sub.extend(2)
-    lam = solve_trace_one(ext, sub)
-    assert ext.add(lam, ext.frobenius(lam, sub.f)) == ext.embed(1, sub)
 
 
 def test_find_irreducible_mu():

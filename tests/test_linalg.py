@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from factorlab.errors import SingularVector
-from factorlab.gf import FieldSpec, solve_trace_one
+from factorlab.errors import DimensionMismatch, SingularVector
+from factorlab.gf import FieldSpec
 from factorlab.linalg import (
     GroupElem,
     MatF,
@@ -50,6 +50,11 @@ def test_matrix_inverse_and_det():
         m = random_invertible(F, 4, rng)
         assert m.mul(m.inv()) == MatF.identity(F, 4)
         assert F.mul(m.det(), m.inv().det()) == 1
+    r0, r1, _, r3 = random_invertible(F, 4, rng).rows
+    singular = MatF(F, (r0, r1, tuple(F.add(a, b) for a, b in zip(r0, r1)), r3))
+    assert singular.det() == 0
+    with pytest.raises(DimensionMismatch):
+        singular.inv()
 
 
 def test_symplectic_frame_standard_identities():
@@ -66,7 +71,7 @@ def test_hermitian_frame_and_norm_one_vector():
     F2 = FieldSpec.get(2)
     F4 = F2.extend(2)
     fr = SpaceFrame.hermitian(F4, 4)
-    lam = solve_trace_one(F4, F2)
+    lam = next(x for x in F4.elements() if F4.trace_to(x, F2) == 1)
     e1, f1 = fr.basis(0), fr.basis(1)
     v = tuple(F4.add(F4.mul(lam, a), b) for a, b in zip(e1, f1))
     assert fr.form.bilinear(e1, f1) == 1
@@ -182,6 +187,42 @@ def test_in_omega_identity():
     F = FieldSpec.get(3)
     fr = SpaceFrame.quadratic(F, 6, "-")
     assert in_omega(GroupElem.identity(F, 6), fr)
+
+
+@pytest.mark.parametrize("n,sign", [(4, "-"), (5, "odd")])
+def test_minus_one_on_a_hyperbolic_plane_is_outside_omega(n, sign):
+    # -1 on <e1, f1> is r_(e1+f1) r_(e1-f1), spinor norm Q(e1+f1) Q(e1-f1) = -1,
+    # a nonsquare mod 3
+    F = FieldSpec.get(3)
+    fr = SpaceFrame.quadratic(F, n, sign)
+    diag = [F.neg(1), F.neg(1)] + [1] * (n - 2)
+    g = GroupElem(MatF(F, [[diag[i] if j == i else 0 for j in range(n)] for i in range(n)]))
+    assert is_isometry(g, fr.form) and g.mat.det() == 1
+    assert not in_omega(g, fr)
+
+
+@pytest.mark.parametrize("q,n,sign", [
+    (3, 4, "+"), (3, 4, "-"), (5, 5, "odd"), (9, 4, "+"), (25, 3, "odd"),
+    (2, 6, "-"), (4, 4, "-"),
+])
+def test_in_omega_on_products_of_reflections(q, n, sign):
+    # r_w1 ... r_wk lies in Omega iff k is even and, for odd q, the product
+    # of the Q(w_i) is a square
+    F = FieldSpec.get(q)
+    fr = SpaceFrame.quadratic(F, n, sign)
+    Q = fr.form.quadratic
+    rng = random.Random(q * 100 + n)
+    for _ in range(30):
+        k = rng.randrange(7)
+        g = GroupElem.identity(F, n)
+        norm = 1
+        for _ in range(k):
+            w = (0,) * n
+            while not Q(w):
+                w = tuple(rng.randrange(q) for _ in range(n))
+            g = g * reflection(fr, w)
+            norm = F.mul(norm, Q(w))
+        assert in_omega(g, fr) == (k % 2 == 0 and is_square(F, norm))
 
 
 @pytest.mark.parametrize("q,m", [(2, 3), (3, 2), (4, 2)])

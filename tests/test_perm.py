@@ -5,7 +5,7 @@ import weakref
 import pytest
 
 from factorlab.construct import frobenius_elem, gens_classical
-from factorlab.errors import CapExceeded
+from factorlab.errors import CapExceeded, VerificationFailed
 from factorlab.gf import FieldSpec
 from factorlab.linalg import GroupElem, MatF, SpaceFrame
 from factorlab.perm import (
@@ -100,6 +100,17 @@ def test_identity_only_chain():
     dom = nonzero_vectors(fr)
     chain = bsgs([GroupElem.identity(F, 2)], dom)
     assert chain.order() == 1
+
+
+def test_a_target_order_with_no_generators_is_checked():
+    F, _ = sl2_2_gens()
+    dom = nonzero_vectors(SpaceFrame.symplectic(F, 1))
+    with pytest.raises(VerificationFailed):
+        StabChain([], 8, target_order=5)
+    with pytest.raises(VerificationFailed):
+        bsgs([GroupElem.identity(F, 2)], dom, target_order=24)
+    assert StabChain([], 8, target_order=1).order() == 1
+    assert bsgs([GroupElem.identity(F, 2)], dom, target_order=1).order() == 1
 
 
 def test_sift_roundtrip_and_membership():

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -7,8 +9,8 @@ from factorlab.shapes import order_of, parse_shape, print_shape
 from factorlab.tables import (
     admissible_bindings,
     eval_constraint,
+    iter_admissible_bindings,
     load_db,
-    minimal_case,
     two_part,
 )
 
@@ -106,7 +108,7 @@ def test_unitary_c_enumeration(records):
 
 def test_every_record_has_a_minimal_case(records):
     for r in records:
-        case = minimal_case(r)
+        case = next(iter_admissible_bindings(r, cap=None))
         assert case.orders["H"] * case.orders["K"] == case.orders["G"] * case.orders["int"], r.id
 
 
@@ -132,3 +134,13 @@ def test_db_env_override(monkeypatch, tmp_path):
     assert tables.default_db_path() == str(tmp_path / "nowhere.json")
     monkeypatch.delenv("FACTORLAB_DB")
     assert tables.default_db_path().endswith("tables_db.json")
+
+
+def test_bundled_database_is_what_the_builder_writes():
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location(
+        "build_tables_db", root / "tools" / "build_tables_db.py")
+    builder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(builder)
+    bundled = root / "src" / "factorlab" / "data" / "tables_db.json"
+    assert builder.build().encode() == bundled.read_bytes()

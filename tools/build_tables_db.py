@@ -925,7 +925,12 @@ rec("T9.28e", "symplectic", "Sp(24,2)", "G2(4):2^2", "O-(24,2)", "SL(2,4) x 2", 
 rec("T9.29", "symplectic", "Sp(32,2)", "GammaSp(8,4)", "O-(32,2)", "Sp(6,4)", ref="prop:Sp(2)=O^+O^-")
 
 
-def main():
+OUT = os.path.join(os.path.dirname(__file__), "..", "src", "factorlab", "data", "tables_db.json")
+
+
+def build():
+    """The text of tables_db.json: the manifest and every record, each shape
+    in its canonical printed form."""
     # normalize every shape to its canonical printed form and sanity-parse
     for r in R:
         for key, s in r["shapes"].items():
@@ -940,11 +945,14 @@ def main():
         },
         "records": R,
     }
-    out = os.path.join(os.path.dirname(__file__), "..", "src", "factorlab", "data", "tables_db.json")
-    with open(out, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    print(f"wrote {len(R)} records to {out}")
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def main():
+    text = build()
+    with open(OUT, "w") as fh:
+        fh.write(text)
+    print(f"wrote {len(R)} records to {OUT}")
 
 
 if __name__ == "__main__":

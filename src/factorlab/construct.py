@@ -65,14 +65,15 @@ class GroupPresentationSpec:
         return None
 
 
-def rebase(g: GroupElem, P: MatF) -> GroupElem:
-    """Rewrite g in the coordinates of the new basis given by the rows of P.
+def rebase(gens, P: MatF, P_inv: MatF = None) -> list:
+    """Rewrite each g in gens in the coordinates of the new basis given by
+    the rows of P; P_inv, when the caller has it, is P^-1.
 
     P's rows express the new basis in the old coordinates; for a semilinear
     g = (M, j) the rebased element is (P^(sigma^j) M P^-1, j).
     """
-    M = P.frob(g.frob).mul(g.mat).mul(P.inv())
-    return GroupElem(M, g.frob)
+    P_inv = P.inv() if P_inv is None else P_inv
+    return [GroupElem(P.frob(g.frob).mul(g.mat).mul(P_inv), g.frob) for g in gens]
 
 
 def _unit(n, i):
@@ -394,11 +395,9 @@ def sp_in_su(m: int, q: int) -> GroupPresentationSpec:
     n = 2 * m
     # rows of P are the symplectic basis (mu e_i, f_i) in hermitian coordinates
     P = MatF(ext, [vec_scale(ext, mu if i % 2 == 0 else 1, _unit(n, i)) for i in range(n)])
-    Pherm = P.inv()  # hermitian coordinates from symplectic ones
-    gens = []
-    for g in sp.gens:
-        lifted = MatF(ext, [[ext.embed(x, sub) for x in row] for row in g.mat.rows])
-        gens.append(rebase(GroupElem(lifted), Pherm))
+    lifted = [GroupElem(MatF(ext, [[ext.embed(x, sub) for x in row] for row in g.mat.rows]))
+              for g in sp.gens]
+    gens = rebase(lifted, P.inv(), P)  # hermitian coordinates from symplectic ones
     return GroupPresentationSpec(
         "SpInSU", n, q, frame_u, gens, classical_order("Sp", n, q), f"Sp({n},{q})<SU({n},{q})"
     )
@@ -425,7 +424,7 @@ def su_in_omega(m: int, q: int, sign: str) -> GroupPresentationSpec:
     P, found = quadratic_change_of_basis(sub, qfun, n, target_mu=frame_std.mu)
     if found != sign:
         raise SignParityMismatch(f"blow-up produced type {found}, wanted {sign}")
-    gens = [rebase(g, P) for g in big]
+    gens = rebase(big, P)
     return GroupPresentationSpec(
         "SUInOmega", n, q, frame_std, gens,
         classical_order("SU", m, q), f"SU({m},{q})<Omega{sign}({n},{q})",
@@ -452,7 +451,7 @@ def ext_field_subgroup(ambient: str, a: int, b: int, q: int, sign: str = None):
             [[ext.trace_to(bil_ext(unb[i], unb[j]), sub) for j in range(n)] for i in range(n)],
         )
         P = symplectic_change_of_basis(sub, gram)
-        gens = [rebase(g, P) for g in big]
+        gens = rebase(big, P)
         spec = GroupPresentationSpec(
             "SpExtField", n, q, SpaceFrame.symplectic(sub, n // 2), gens,
             inner.expected_order, f"Sp({2*a},{ext.q})<Sp({n},{q})",
@@ -470,7 +469,7 @@ def ext_field_subgroup(ambient: str, a: int, b: int, q: int, sign: str = None):
 
         P, found = quadratic_change_of_basis(sub, qfun, n, target_mu=frame_minus.mu)
         frame_std = frame_minus if found == "-" else SpaceFrame.quadratic(sub, n, "+")
-        gens = [rebase(g, P) for g in big]
+        gens = rebase(big, P)
         spec = GroupPresentationSpec(
             "OmegaExtField", n, q, frame_std, gens, inner.expected_order,
             f"Omega{sign}({2*a},{ext.q})<Omega{found}({n},{q})",
@@ -478,9 +477,11 @@ def ext_field_subgroup(ambient: str, a: int, b: int, q: int, sign: str = None):
     else:
         raise UnsupportedParameters(f"no ext-field recipe for ambient {ambient!r}")
 
+    P_inv = P.inv()
+
     def lift(g_ext: GroupElem) -> GroupElem:
         """Blow up a further element of the small group into the big frame."""
-        return rebase(blowup_elem(g_ext, sub), P)
+        return rebase([blowup_elem(g_ext, sub)], P, P_inv)[0]
 
     return spec, inner, lift
 
@@ -527,14 +528,13 @@ def parabolic_p1_sp_residual(m: int, q: int):
         midsp = gens_classical("Sp", 2 * k, q)
         gp = [2 * i for i in range(k)] + [2 * i + 1 for i in range(k)]
         Pm = MatF(F, [_unit(2 * k, p) for p in gp])
-        for g in midsp.gens:
-            gm = rebase(g, Pm.inv()).mat
+        for g in rebase(midsp.gens, Pm.inv(), Pm):
             rows = [list(_unit(n, r)) for r in range(n)]
             for r in range(2 * k):
                 for c in range(2 * k):
-                    rows[1 + r][1 + c] = gm.rows[r][c]
+                    rows[1 + r][1 + c] = g.mat.rows[r][c]
             gens_sec.append(rows)
-    gens = [rebase(GroupElem(MatF(F, map(tuple, rows))), P.inv()) for rows in gens_sec]
+    gens = rebase([GroupElem(MatF(F, map(tuple, rows))) for rows in gens_sec], P.inv(), P)
     full = q ** (2 * m - 1) * classical_order("Sp", 2 * m - 2, q)
     residual = q ** (2 * m - 1) * classical_order("Sp", 2 * m - 2, q, primed=True)
     spec = GroupPresentationSpec(
@@ -651,7 +651,7 @@ def pm_residual(family: str, m: int, q: int, include_radical=True) -> GroupPrese
         gens_grouped.append(rows)
     gp = [2 * i for i in range(m)] + [2 * i + 1 for i in range(m)]
     P = MatF(EF, [_unit(n, p) for p in gp])
-    gens = [rebase(GroupElem(MatF(EF, map(tuple, rows))), P.inv()) for rows in gens_grouped]
+    gens = rebase([GroupElem(MatF(EF, map(tuple, rows))) for rows in gens_grouped], P.inv(), P)
     return GroupPresentationSpec(
         "PmResidual", n, q, frame_std, gens, radical * levi_order,
         f"pm_residual({family},{m},{q})",
@@ -701,7 +701,7 @@ def _pm_residual_omega_odd(F, m, q):
         gens_grouped.append(rows)
     perm = [2 * i for i in range(m)] + [n - 1] + [2 * i + 1 for i in range(m)]
     P = MatF(F, [_unit(n, p) for p in perm])
-    gens = [rebase(GroupElem(MatF(F, map(tuple, rows))), P.inv()) for rows in gens_grouped]
+    gens = rebase([GroupElem(MatF(F, map(tuple, rows))) for rows in gens_grouped], P.inv(), P)
     expected = q ** (m * (m - 1) // 2) * q ** m * classical_order("SL", m, q)
     return GroupPresentationSpec(
         "PmResidual", n, q, SpaceFrame.quadratic(F, n, "odd"), gens, expected,
@@ -778,9 +778,10 @@ def blowup_sigma(family: str, n: int, q: int) -> GroupPresentationSpec:
 
 
 def gamma_o_minus_ext(a: int, b: int, q: int) -> GroupPresentationSpec:
-    """GammaO_2a^-(q^b) inside Omega_2ab(q): the Omega field-extension
-    subgroup together with a reflection of the small space and its twisted
-    field automorphism."""
+    """GammaO_2a^-(q^b) inside O_2ab(q): the Omega field-extension subgroup
+    together with a reflection of the small space and its twisted field
+    automorphism.  The lifted twisted Frobenius has Dickson invariant 1, so
+    the group lies in O, not in Omega."""
     spec, inner, lift = ext_field_subgroup("Omega", a, b, q, sign="-")
     refl = reflection(inner.frame, inner.frame.basis(2 * a - 2))
     frob = twisted_frobenius(inner.frame, 1)
@@ -788,7 +789,7 @@ def gamma_o_minus_ext(a: int, b: int, q: int) -> GroupPresentationSpec:
     order = b * 2 * inner.expected_order
     return GroupPresentationSpec(
         "GammaOMinusExt", spec.n, q, spec.frame, gens, order,
-        f"GammaO-({2 * a},{q ** b})<Omega({spec.n},{q})",
+        f"GammaO-({2 * a},{q ** b})<O{spec.frame.form.sign}({spec.n},{q})",
     )
 
 

@@ -4,15 +4,19 @@ orbits, Schreier-Sims, sifting, subgroup enumeration, solvable residual.
 A vector v of F^n, F = GF(q), is coded by the int sum v[i] q^i.  Every
 domain acts through one table per semilinear element g: the array T_g of
 length q^n with T_g[code(v)] = code(v^g).  Since v |-> v^g is additive, the
-table is filled from the n(q-1) images of the vectors d e_k alone:
-T[d q^k + r] = T[r] (+) code((d e_k)^g) for r < q^k, where (+) adds codes
-coordinate by coordinate: XOR when p = 2, else one lookup per half of the
-code in an addition table of half-length codes, built once per field.  A
-domain owns the tables of the elements that act on it and the permutations
-built from them, so each is computed at most once per domain and freed with
-it.  Points move by lookups: a vector by T_g, a pair by two lookups, a
-refined antiflag (v, phi) by T_g on v and the table of the contragredient
-element on phi, a form by the inverse of T_g on its arguments.
+table is filled from the n(q-1) images of the vectors d e_k alone, which
+are scaled rows of g's matrix: T[d q^k + r] = T[r] (+) code((d e_k)^g) for
+r < q^k, where (+) adds codes coordinate by coordinate: XOR when p = 2, else
+one lookup per half of the code in an addition table of half-length codes,
+built once per field.  A domain owns the tables of the elements that act on
+it and the permutations built from them, so each is computed at most once
+per domain and freed with it.  A domain moves a list of points at once:
+vectors by one itemgetter pick from T_g, pairs by one pick per column (for a
+refined antiflag (v, phi), phi's from the table of the contragredient), and
+only forms point by point.  Orbit domains and orbits grow a frontier at a
+time by set operations and are listed in domain order.  On verify's stab
+route H's chain lives on the nonzero vectors, which are faithful and have a
+known base, whenever the geometric domain is larger.
 
 A form is evaluated on all of F^n in one place, form_values, which fills its
 value table by the same additivity: the value at r + d e_k is the value at r
@@ -60,15 +64,14 @@ DEFAULT_ENUM_CAP = 10 ** 6
 
 def _picker(indices):
     """The map s -> (s[i] for i in indices), as a tuple; itemgetter with a
-    single index returns a scalar, so that case is wrapped."""
-    if len(indices) == 1:
-        i = indices[0]
-        return lambda s: (s[i],)
-    return itemgetter(*indices)
+    single index returns a scalar and with none fails, so those are wrapped."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda s: tuple(s[i] for i in indices)
 
 
 def compose(g, h):
-    return list(_picker(g)(h)) if g else []
+    return list(_picker(g)(h))
 
 
 def inverse(g):
@@ -107,6 +110,21 @@ def bfs(start, moves, cap=None):
     tree = {start: None}
     _grow(tree, deque((start,)), moves, cap)
     return tree
+
+
+def _frontier_orbit(start, step, cap=None):
+    """The orbit of start, as a set, grown one frontier at a time: step(points)
+    returns, per generator, the images of the points.  Raises DomainOverflow
+    when the orbit has more than cap points."""
+    seen, frontier = {start}, [start]
+    while frontier:
+        new = set().union(*step(frontier))
+        new -= seen
+        if cap is not None and len(seen) + len(new) > cap:
+            raise DomainOverflow(f"orbit exceeded the cap {cap}")
+        seen |= new
+        frontier = list(new)
+    return seen
 
 
 def _grow(tree, queue, moves, cap=None):
@@ -166,8 +184,9 @@ def _half_add(F, h):
 def vector_table(frame, g: GroupElem):
     """T with T[code(v)] = code(v^g) for every v in F^n (g semilinear).
 
-    T grows block by block: the block for d e_k is T[:q^k] (+) code((d e_k)^g).
-    For p = 2, (+) is XOR.  For odd p a code is split into its low h and high
+    T grows block by block: the block for d e_k is T[:q^k] (+) code((d e_k)^g),
+    and (d e_k)^g is d^(p^j) times row k of g's matrix, for g = (A, j).  For
+    p = 2, (+) is XOR.  For odd p a code is split into its low h and high
     n - h coordinates, h = ceil(n/2), and each half is added by a lookup in
     the half-code addition table of F.
     """
@@ -178,9 +197,10 @@ def vector_table(frame, g: GroupElem):
     if F.p != 2:
         h = (n + 1) // 2
         Q, ADD = q ** h, _half_add(F, h)
-    for k in range(n):
+    for row in g.mat.rows:
         for d in range(1, q):
-            img = _encode(frame, g.act(tuple(d if i == k else 0 for i in range(n))))
+            c = F.frobenius(d, g.frob)
+            img = _encode(frame, [F.mul(c, x) for x in row])
             if F.p == 2:
                 T.extend([x ^ img for x in T[:size]])
             else:
@@ -259,13 +279,14 @@ class VectorTables(dict):
 class Domain:
     """An enumerated set of geometric objects with a semilinear action.
 
-    image(tables, g) returns the map point -> point^g; tables is the domain's
-    VectorTables.  known_base, when given, lists points that only the
-    identity of GammaL(V) fixes; it is kept as point indices, the form the
-    stabilizer chains use, or None.
+    images(tables, g, points) returns the images of the points under g, in
+    order, moving them all at once; tables is the domain's VectorTables.
+    known_base, when given, lists points that only the identity of GammaL(V)
+    fixes; it is kept as point indices, the form the stabilizer chains use,
+    or None.
     """
 
-    def __init__(self, kind, frame, points, image, cap=DEFAULT_DOMAIN_CAP, tables=None,
+    def __init__(self, kind, frame, points, images, cap=DEFAULT_DOMAIN_CAP, tables=None,
                  known_base=None):
         if len(points) > cap:
             raise DomainOverflow(f"domain size {len(points)} exceeds cap {cap}")
@@ -275,7 +296,7 @@ class Domain:
         self.index = {p: i for i, p in enumerate(self.points)}
         self.known_base = None if known_base is None else [self.index[p] for p in known_base]
         self.tables = VectorTables(frame) if tables is None else tables
-        self._image = image
+        self._images = images
         self._perms = {}
 
     @property
@@ -286,9 +307,9 @@ class Domain:
         """The permutation of the point indices induced by g (memoised)."""
         perm = self._perms.get(g)
         if perm is None:
-            move, index = self._image(self.tables, g), self.index
+            images = self._images(self.tables, g, self.points)
             try:
-                perm = [index[move(p)] for p in self.points]
+                perm = list(map(self.index.__getitem__, images))
             except KeyError as e:
                 msg = f"{self.kind}: the image {e.args[0]!r} left the domain"
                 raise PointNotInDomain(msg) from None
@@ -299,30 +320,38 @@ class Domain:
         return [self.perm_of(g) for g in gens]
 
 
-def _vector_image(tables, g):
-    return tables[g].__getitem__
+def _vector_images(tables, g, points):
+    return _picker(points)(tables[g])
+
+
+def _pair_images(tables, g, points, h=None):
+    """The images of the pairs (a, b) of points: a moved by the table of g,
+    b by the table of h (by default g)."""
+    firsts, seconds = (_picker([p[i] for p in points]) for i in (0, 1))
+    return zip(firsts(tables[g]), seconds(tables[g if h is None else h]))
 
 
 def _all_vectors(frame):
     return range(frame.field.q ** frame.n)
 
 
-def nonzero_vectors(frame, cap=DEFAULT_DOMAIN_CAP) -> Domain:
+def nonzero_vectors(frame, cap=DEFAULT_DOMAIN_CAP, tables=None) -> Domain:
     """Nonzero vectors, with the known base e_1..e_n plus, when f > 1, x e_1
     for the field element x coded p.  A map v |-> v^sigma A fixing every e_i
     has A = I; fixing x e_1 too gives x^sigma = x, and x generates GF(q)
-    over GF(p), so sigma = 1."""
+    over GF(p), so sigma = 1.  tables, when given, are shared with another
+    domain on the same space."""
     F = frame.field
     pts = [c for c in _all_vectors(frame) if c]
     base = [F.q ** i for i in range(frame.n)] + ([F.p] if F.f > 1 else [])
-    return Domain("NonzeroVectors", frame, pts, _vector_image, cap, known_base=base)
+    return Domain("NonzeroVectors", frame, pts, _vector_images, cap, tables, base)
 
 
 def norm_level_set(frame, value, cap=DEFAULT_DOMAIN_CAP) -> Domain:
     """Vectors v != 0 with Q(v) = value (quadratic) or beta(v,v) = value."""
     pts = [c for c, x in enumerate(form_values(frame)) if x == value and c]
     kind = f"NormLevelSet({value})"
-    return Domain(kind, frame, pts, _vector_image, cap)
+    return Domain(kind, frame, pts, _vector_images, cap)
 
 
 def singular_vectors(frame, cap=DEFAULT_DOMAIN_CAP) -> Domain:
@@ -354,11 +383,10 @@ def refined_antiflags(frame, cap=DEFAULT_DOMAIN_CAP) -> Domain:
             if dot(v, _decode(frame, pc)) == 1:
                 pts.append((vc, pc))
 
-    def image(tables, g):
-        T, D = tables[g], tables[contragredient(g)]
-        return lambda pt: (T[pt[0]], D[pt[1]])
+    def images(tables, g, points):
+        return _pair_images(tables, g, points, contragredient(g))
 
-    return Domain("RefinedAntiflags", frame, pts, image, cap)
+    return Domain("RefinedAntiflags", frame, pts, images, cap)
 
 
 def form_orbit(frame, seed_form, gens, cap=DEFAULT_DOMAIN_CAP) -> Domain:
@@ -382,7 +410,7 @@ def form_orbit(frame, seed_form, gens, cap=DEFAULT_DOMAIN_CAP) -> Domain:
     key = _picker(S)
     values = {}
 
-    def image(tables, g):
+    def images(tables, g, points):
         T = inverse(tables[g])
         pick = _picker([T[s] for s in S])
         frob = [F.frobenius(x, g.frob) for x in F.elements()].__getitem__
@@ -395,39 +423,35 @@ def form_orbit(frame, seed_form, gens, cap=DEFAULT_DOMAIN_CAP) -> Domain:
                 values[img] = full if g.frob == 0 else list(map(frob, full))
             return img
 
-        return move
+        return [move(p) for p in points]
 
     seed = form_values(frame, seed_form)
     values[key(seed)] = seed
-    dom = _orbit_domain("FormOrbit", frame, key(seed), image, gens, cap, values.__getitem__)
+    dom = _orbit_domain("FormOrbit", frame, key(seed), images, gens, cap, values.__getitem__)
     dom.values, dom.key = values, key
     return dom
 
 
-def _orbit_domain(kind, frame, seed, image, gens, cap, sort_key=None):
+def _orbit_domain(kind, frame, seed, images, gens, cap, sort_key=None):
     """The domain of the orbit of seed under gens, sorted (by sort_key when
     given); it keeps the vector tables the orbit search built."""
     tables = VectorTables(frame)
-    tree = bfs(seed, [image(tables, g) for g in gens], cap)
-    return Domain(kind, frame, sorted(tree, key=sort_key), image, cap, tables)
-
-
-def _pair_image(tables, g):
-    T = tables[g]
-    return lambda pt: (T[pt[0]], T[pt[1]])
+    pts = _frontier_orbit(seed, lambda frontier: (images(tables, g, frontier) for g in gens), cap)
+    return Domain(kind, frame, sorted(pts, key=sort_key), images, cap, tables)
 
 
 def ordered_vector_pairs(frame, seed_pair, gens, cap=DEFAULT_DOMAIN_CAP) -> Domain:
     """Orbit of an ordered vector pair (u, w) under the given generators."""
     seed = (_encode(frame, seed_pair[0]), _encode(frame, seed_pair[1]))
-    return _orbit_domain("OrderedVectorPairs", frame, seed, _pair_image, gens, cap)
+    return _orbit_domain("OrderedVectorPairs", frame, seed, _pair_images, gens, cap)
 
 
 def orbit(gens, start, dom: Domain):
-    """The orbit of a domain point under GroupElem generators (BFS order)."""
-    moves = [p.__getitem__ for p in dom.perms_of(gens)]
-    pts = dom.points
-    return [pts[i] for i in bfs(dom.index[start], moves)]
+    """The orbit of a domain point under GroupElem generators, in the order
+    of dom.points."""
+    perms = dom.perms_of(gens)
+    found = _frontier_orbit(dom.index[start], lambda pts: map(_picker(pts), perms))
+    return [dom.points[i] for i in sorted(found)]
 
 
 # -- Schreier-Sims ------------------------------------------------------------

@@ -5,7 +5,7 @@ from collections import deque
 
 import pytest
 
-from factorlab.construct import frobenius_elem, gens_classical
+from factorlab.construct import frobenius_elem, gens_classical, minus_pair, quadratic_form
 from factorlab.errors import DomainOverflow, PointNotInDomain
 from factorlab.gf import FieldSpec
 from factorlab.linalg import GroupElem, MatF, SpaceFrame, vec_frob, vec_mat
@@ -81,6 +81,14 @@ def test_vector_domains_permute_like_per_point_action(fam, n, q):
             assert dom.perm_of(g) is dom.perm_of(g)  # memoised per domain
 
 
+def test_empty_level_set_permutes_to_the_empty_list():
+    # beta(v, v) = 0 for every v under a symplectic form
+    frame, gens = _elements("Sp", 4, 2)
+    dom = norm_level_set(frame, 1)
+    assert dom.size == 0
+    assert all(dom.perm_of(g) == [] for g in gens)
+
+
 def test_refined_antiflags_permute_like_per_point_action():
     for fam, n, q in [("SL", 3, 2), ("SL", 2, 4), ("SL", 2, 3)]:
         frame, gens = _elements(fam, n, q)
@@ -137,13 +145,43 @@ def _per_point_orbit(frame, gens, start):
     return out
 
 
-def test_orbit_on_permutations_keeps_bfs_order():
+def test_orbit_on_permutations_lists_points_in_domain_order():
     sl = gens_classical("SL", 3, 3)
     dom = nonzero_vectors(sl.frame)
     for start in dom.points[:5]:
         got = orbit(sl.gens, start, dom)
         assert len(got) == dom.size
-        assert got == _per_point_orbit(sl.frame, sl.gens, start)
+        assert got == sorted(_per_point_orbit(sl.frame, sl.gens, start), key=dom.index.get)
+
+
+def _minus_pairs():
+    """T6.19's ambient Omega+(8, 2) and the seed of its ordered minus pairs."""
+    omega = gens_classical("Omega+", 8, 2)
+    return omega, minus_pair(omega.frame)
+
+
+def test_frontier_pair_orbit_equals_the_sorted_bfs_orbit():
+    omega, seed = _minus_pairs()
+    frame = omega.frame
+    dom = ordered_vector_pairs(frame, seed, omega.gens)
+    tables = [vector_table(frame, g) for g in omega.gens]
+    moves = [lambda pt, T=T: (T[pt[0]], T[pt[1]]) for T in tables]
+    start = (_encode(frame, seed[0]), _encode(frame, seed[1]))
+    assert dom.points == sorted(bfs(start, moves))
+    assert dom.size == 6720
+
+
+def test_orbit_domain_caps_are_exact():
+    omega, seed = _minus_pairs()
+    assert ordered_vector_pairs(omega.frame, seed, omega.gens, 6720).size == 6720
+    with pytest.raises(DomainOverflow):
+        ordered_vector_pairs(omega.frame, seed, omega.gens, 6719)
+    sp = gens_classical("Sp", 4, 2)
+    seed = quadratic_form(sp.frame, "-")
+    size = form_orbit(sp.frame, seed, sp.gens).size
+    assert form_orbit(sp.frame, seed, sp.gens, size).size == size
+    with pytest.raises(DomainOverflow):
+        form_orbit(sp.frame, seed, sp.gens, size - 1)
 
 
 def test_perm_of_raises_when_an_image_leaves_the_domain():

@@ -222,6 +222,15 @@ def test_pm_residual_orders(family, m, q, expected):
     assert chain.order() == expected
 
 
+def test_gamma_o_minus_ext_lies_in_o_minus_not_omega():
+    # T5.7's H: every generator preserves the form, and the lifted twisted
+    # Frobenius, its last generator, has Dickson invariant 1
+    spec = construct.gamma_o_minus_ext(2, 2, 2)
+    assert spec.name == "GammaO-(4,4)<O-(8,2)"
+    assert all(is_isometry(g, spec.frame.form) for g in spec.gens)
+    assert not in_omega(spec.gens[-1], spec.frame)
+
+
 def test_gamma_and_frobenius_elements():
     f = frobenius_elem(gens_classical("SU", 3, 2).frame, 1)
     assert f.frob == 1

@@ -159,6 +159,31 @@ def test_tier_b_internal_error_is_a_per_case_fail(records, monkeypatch):
         assert r.detail.startswith("internal: RuntimeError: boom (test_verify.py:")
 
 
+def test_stab_route_builds_h_chain_on_the_smaller_faithful_domain(records, monkeypatch):
+    import factorlab.verify as verify
+
+    chain_domains = []
+    build_chain = verify._build_chain
+
+    def spy(spec, residual, dom, seed, caps):
+        chain_domains.append((dom.kind, dom.size))
+        return build_chain(spec, residual, dom, seed, caps)
+
+    monkeypatch.setattr(verify, "_build_chain", spy)
+    want = {
+        "T6.19[m=4,q=2]": ("NonzeroVectors", 2 ** 8 - 1),    # not the 6720 pairs
+        "T1.3a[m=2]": ("NonzeroVectors", 2 ** 4 - 1),        # not the 120 antiflags
+        "T2.2[m=2,q=3]": ("NormLevelSet(1)", 2160),          # not the 9^4 - 1 vectors
+    }
+    got = {}
+    for case in tier_b_cases(records):
+        if case.id in want:
+            chain_domains.clear()
+            assert verify_tier_b(case, seed=0).status == "PASS"
+            (got[case.id],) = chain_domains
+    assert got == want
+
+
 def test_tier_b_unbound_recipe_symbol_is_skipped_and_the_sweep_goes_on(records):
     rec = next(r for r in records if r.id == "T2.2")
     patched = copy.copy(rec)

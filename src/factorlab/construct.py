@@ -451,11 +451,8 @@ def ext_field_subgroup(ambient: str, a: int, b: int, q: int, sign: str = None):
             [[ext.trace_to(bil_ext(unb[i], unb[j]), sub) for j in range(n)] for i in range(n)],
         )
         P = symplectic_change_of_basis(sub, gram)
-        gens = rebase(big, P)
-        spec = GroupPresentationSpec(
-            "SpExtField", n, q, SpaceFrame.symplectic(sub, n // 2), gens,
-            inner.expected_order, f"Sp({2*a},{ext.q})<Sp({n},{q})",
-        )
+        frame = SpaceFrame.symplectic(sub, n // 2)
+        kind, name = "SpExtField", f"Sp({2*a},{ext.q})<Sp({n},{q})"
     elif ambient == "Omega":
         if sign not in ("+", "-"):
             raise IllegalParameters("Omega ext-field subgroup needs a sign")
@@ -468,16 +465,14 @@ def ext_field_subgroup(ambient: str, a: int, b: int, q: int, sign: str = None):
             return ext.trace_to(qf_ext(unblow_vector(ext, sub, v_big)), sub)
 
         P, found = quadratic_change_of_basis(sub, qfun, n, target_mu=frame_minus.mu)
-        frame_std = frame_minus if found == "-" else SpaceFrame.quadratic(sub, n, "+")
-        gens = rebase(big, P)
-        spec = GroupPresentationSpec(
-            "OmegaExtField", n, q, frame_std, gens, inner.expected_order,
-            f"Omega{sign}({2*a},{ext.q})<Omega{found}({n},{q})",
-        )
+        frame = frame_minus if found == "-" else SpaceFrame.quadratic(sub, n, "+")
+        kind, name = "OmegaExtField", f"Omega{sign}({2*a},{ext.q})<Omega{found}({n},{q})"
     else:
         raise UnsupportedParameters(f"no ext-field recipe for ambient {ambient!r}")
 
     P_inv = P.inv()
+    gens = rebase(big, P, P_inv)
+    spec = GroupPresentationSpec(kind, n, q, frame, gens, inner.expected_order, name)
 
     def lift(g_ext: GroupElem) -> GroupElem:
         """Blow up a further element of the small group into the big frame."""

@@ -408,12 +408,14 @@ def form_orbit(frame, seed_form, gens, cap=DEFAULT_DOMAIN_CAP) -> Domain:
     q, n = F.q, frame.n
     S = [q ** i for i in range(n)] + [q ** i + q ** j for i in range(n) for j in range(i + 1, n)]
     key = _picker(S)
-    values = {}
+    values, movers = {}, {}
 
     def images(tables, g, points):
-        T = inverse(tables[g])
-        pick = _picker([T[s] for s in S])
-        frob = [F.frobenius(x, g.frob) for x in F.elements()].__getitem__
+        if g not in movers:     # T_(g^-1), the pick of the key and the Frobenius
+            T = inverse(tables[g])
+            frob = [F.frobenius(x, g.frob) for x in F.elements()].__getitem__
+            movers[g] = T, _picker([T[s] for s in S]), frob
+        T, pick, frob = movers[g]
 
         def move(point):
             W = values[point]

@@ -155,7 +155,9 @@ def verify_tier_b(case: ConcreteCase, seed=0, caps=None) -> VerificationReport:
         spec_h, residual = _build_group(tb["H"], bnd)
         dom = _build_domain(tb["domain"], spec_h.frame, bnd, tb.get("ambient"),
                             caps["max_domain"])
-        chain_dom = dom     # the stab route needs dom only for H's orbit
+        # the stab route needs dom only for H's orbit; H's chain goes on the
+        # smaller of dom and the nonzero vectors, since its cost grows with the domain
+        chain_dom = dom
         if tb["route"] == "stab" and dom.size >= spec_h.frame.field.q ** spec_h.frame.n:
             chain_dom = perm.nonzero_vectors(spec_h.frame, caps["max_domain"], dom.tables)
         h_chain = _build_chain(spec_h, residual, chain_dom, seed, caps)

@@ -122,13 +122,13 @@ def _reports_payload(reports, summary):
 
 
 def _select(records, args):
-    out = [
+    """The records that --table, --row and --sub let through."""
+    return [
         r for r in records
         if (args.table is None or r.table == args.table)
         and (args.row is None or r.row == args.row)
-        and (getattr(args, "sub", None) is None or r.sub == args.sub)
+        and (args.sub is None or r.sub == args.sub)
     ]
-    return out
 
 
 def cmd_list(args):
@@ -237,12 +237,8 @@ def _render(args, reports, summary):
 
 
 def cmd_sweep(args):
-    records = load_db(args.db)
-    caps = _caps_from(args)
-    reports, summary = sweep(
-        records, tier=args.tier, caps=caps, seed=args.seed,
-        table=args.table, row=args.row, sub=args.sub,
-    )
+    records = _select(load_db(args.db), args)
+    reports, summary = sweep(records, tier=args.tier, caps=_caps_from(args), seed=args.seed)
     _render(args, reports, summary)
     return 1 if summary["fail"] else 0
 

@@ -13,10 +13,12 @@ it and the permutations built from them, so each is computed at most once
 per domain and freed with it.  A domain moves a list of points at once:
 vectors by one itemgetter pick from T_g, pairs by one pick per column (for a
 refined antiflag (v, phi), phi's from the table of the contragredient), and
-only forms point by point.  Orbit domains and orbits grow a frontier at a
-time by set operations and are listed in domain order.  On verify's stab
-route H's chain lives on the nonzero vectors, which are faithful and have a
-known base, whenever the geometric domain is larger.
+only forms point by point.  Orbit domains, orbits and verify's coset orbits
+grow a frontier at a time by set operations (_frontier_orbit), and the first
+two are listed in domain order; only Schreier trees, which keep each point's
+parent, grow first in first out (_grow).  In verify every chain lives on the
+nonzero vectors, which are faithful and have a known base, whenever the
+geometric domain is larger.
 
 A form is evaluated on all of F^n in one place, form_values, which fills its
 value table by the same additivity: the value at r + d e_k is the value at r
@@ -99,19 +101,6 @@ def _image(point, word):
     return point
 
 
-def bfs(start, moves, cap=None):
-    """Breadth-first search from start, first in first out.
-
-    moves are callables, each mapping a point to its image.  Returns a dict
-    that maps every point found, in the order found, to (parent, index of
-    the move that reached it); start maps to None.  Raises DomainOverflow
-    when a point beyond the first cap would be added.
-    """
-    tree = {start: None}
-    _grow(tree, deque((start,)), moves, cap)
-    return tree
-
-
 def _frontier_orbit(start, step, cap=None):
     """The orbit of start, as a set, grown one frontier at a time: step(points)
     returns, per generator, the images of the points.  Raises DomainOverflow
@@ -127,16 +116,16 @@ def _frontier_orbit(start, step, cap=None):
     return seen
 
 
-def _grow(tree, queue, moves, cap=None):
-    """Continue a breadth-first search: tree as in bfs, queue the points
-    whose moves are still to be followed."""
+def _grow(tree, queue, moves):
+    """Continue a breadth-first search, first in first out: tree maps every
+    point found, in the order found, to (parent, index of the move that
+    reached it), and queue holds the points whose moves are still to be
+    followed.  moves are callables, each mapping a point to its image."""
     while queue:
         x = queue.popleft()
         for i, move in enumerate(moves):
             y = move(x)
             if y not in tree:
-                if cap is not None and len(tree) >= cap:
-                    raise DomainOverflow(f"orbit exceeded the cap {cap}")
                 tree[y] = (x, i)
                 queue.append(y)
 

@@ -2,10 +2,14 @@
 
 TIER A checks the exact order identity |H0||K0| = |G0||H0 meet K0| for a
 concrete binding of a table row.  TIER B constructively builds the groups at
-small parameters and certifies the factorization: orders by BSGS, the
-intersection order either by an orbit/stabilizer computation on a geometric
-domain or by enumerate-and-sift, plus the cross-check that the transitivity
-criterion agrees with the order criterion.
+small parameters and certifies the factorization through the paper's two
+equivalent criteria: the order identity (d) and H transitive on the cosets
+of K (f).  One shared prefix builds H's chain and checks |H|; a route in
+ROUTES then produces the remaining facts, the intersection order either by
+an orbit/stabilizer computation on a geometric domain ("stab") or by
+enumerate-and-sift with the criterion (f) cross-check ("sift").  Every chain
+goes on the smaller of the geometric domain and the nonzero vectors.  The
+first fact that disagrees with the tables ends the case as a FAIL.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import CapExceeded, DomainOverflow, FactorLabError, UnboundSymbol
 from . import construct, perm
-from .perm import bfs, bsgs, compose, enumerate_and_sift, orbit, solvable_residual
+from .perm import _frontier_orbit, bsgs, compose, enumerate_and_sift, orbit, solvable_residual
 from .shapes import order_of
 from .tables import ConcreteCase, _derived_expansions, admissible_bindings
 
@@ -138,117 +142,115 @@ def _build_domain(desc, frame, bindings, ambient, cap):
     return build(amb.frame, getattr(construct, seeder[0])(amb.frame, *args), amb.gens, cap)
 
 
+class _Mismatch(Exception):
+    """A computed fact disagrees with the tables; the message is the FAIL's
+    detail."""
+
+
+def _require(ok, detail):
+    if not ok:
+        raise _Mismatch(detail)
+
+
 def verify_tier_b(case: ConcreteCase, seed=0, caps=None) -> VerificationReport:
+    """Certify G = H K at the case's bindings.  A shared prefix builds H and
+    its chain and checks |H|; the route's producer in ROUTES adds its facts;
+    the order identity closes.  The facts, in the order found, are the
+    report's computed orders, and the first that disagrees is the FAIL."""
     caps = {**DEFAULT_CAPS, **(caps or {})}
     t0 = time.perf_counter()
-    rec = case.record
-    tb = rec.tier_b
+    tb = case.record.tier_b
     if not tb:
         return VerificationReport(case.id, "B", "SKIPPED(no tier-b recipe)")
+    if tb["route"] not in ROUTES:
+        return VerificationReport(case.id, "B", f"SKIPPED(route {tb['route']})", seed=seed)
     bnd = case.bindings
-    exp = {}
-    computed = {}
+    exp, facts, detail = {}, {}, ""
     try:
-        exp = {k: order_of(rec.shape(k), bnd) for k in ("G", "H", "K", "int")}
-        if exp["H"] > caps["max_group"]:
+        exp = {f"order{k.capitalize()}": order_of(case.record.shape(k), bnd)
+               for k in ("G", "H", "K", "int")}
+        if exp["orderH"] > caps["max_group"]:
             return VerificationReport(case.id, "B", "SKIPPED(scale)", seed=seed)
         spec_h, residual = _build_group(tb["H"], bnd)
         dom = _build_domain(tb["domain"], spec_h.frame, bnd, tb.get("ambient"),
                             caps["max_domain"])
-        # the stab route needs dom only for H's orbit; H's chain goes on the
-        # smaller of dom and the nonzero vectors, since its cost grows with the domain
+        # every chain goes on the smaller of dom and the nonzero vectors (both
+        # faithful), since a chain's cost grows with its domain
         chain_dom = dom
-        if tb["route"] == "stab" and dom.size >= spec_h.frame.field.q ** spec_h.frame.n:
+        if dom.size >= spec_h.frame.field.q ** spec_h.frame.n:
             chain_dom = perm.nonzero_vectors(spec_h.frame, caps["max_domain"], dom.tables)
         h_chain = _build_chain(spec_h, residual, chain_dom, seed, caps)
-        computed["orderH"] = h_chain.order()
-        if computed["orderH"] != exp["H"]:
-            return _fail(case, computed, exp, seed, t0, "construction: |H| mismatch")
-        computed["orderG"] = exp["G"]
-        computed["orderK"] = exp["K"]
-
-        if tb["route"] == "stab":
-            if exp["G"] % exp["K"]:
-                return _fail(case, computed, exp, seed, t0, "|K| does not divide |G|")
-            index = exp["G"] // exp["K"]
-            if dom.size != index:
-                computed["orbitSize"] = dom.size
-                return _fail(case, computed, exp, seed, t0,
-                             f"domain size {dom.size} != [G:K] = {index}")
-            orb = orbit(spec_h.gens, dom.points[0], dom)
-            computed["orbitSize"] = len(orb)
-            if len(orb) != index:
-                return _fail(case, computed, exp, seed, t0, "H is not transitive on [G:K]")
-            if computed["orderH"] % index:
-                return _fail(case, computed, exp, seed, t0, "orbit size does not divide |H|")
-            computed["orderInt"] = computed["orderH"] // index
-        elif tb["route"] == "sift":
-            k_chain = _build_chain(*_build_group(tb["K"], bnd), dom, seed, caps)
-            computed["orderK"] = k_chain.order()
-            if computed["orderK"] != exp["K"]:
-                return _fail(case, computed, exp, seed, t0, "construction: |K| mismatch")
-            inter = enumerate_and_sift(h_chain, k_chain, caps["max_enum"])
-            computed["orderInt"] = len(inter)
-            if "residual_int" in tb:
-                res = solvable_residual(inter, dom, seed=seed, cap=caps["max_enum"])
-                computed["residualOrderInt"] = res.order()
-                if res.order() != tb["residual_int"]:
-                    return _fail(case, computed, exp, seed, t0,
-                                 "solvable residual of the intersection mismatch")
-            # criterion (f) cross-check: H transitive on the cosets of K
-            index = exp["G"] // exp["K"]
-            if index * exp["K"] == exp["G"] and index <= 10 ** 5:
-                n_cosets = _coset_orbit_size(h_chain, k_chain, dom.size)
-                computed["cosetOrbit"] = n_cosets
-                if n_cosets != index:
-                    return _fail(case, computed, exp, seed, t0,
-                                 "criterion (f) disagrees with criterion (d)")
-        else:
-            return VerificationReport(case.id, "B", f"SKIPPED(route {tb['route']})", seed=seed)
-
-        if computed["orderInt"] != exp["int"]:
-            return _fail(case, computed, exp, seed, t0, "|H meet K| mismatch")
-        if computed["orderH"] * exp["K"] != exp["G"] * computed["orderInt"]:
-            return _fail(case, computed, exp, seed, t0, "order identity fails")
+        facts["orderH"] = h_chain.order()
+        _require(facts["orderH"] == exp["orderH"], "construction: |H| mismatch")
+        facts["orderG"], facts["orderK"] = exp["orderG"], exp["orderK"]
+        ROUTES[tb["route"]](facts, exp, tb=tb, bnd=bnd, spec_h=spec_h, h_chain=h_chain,
+                            dom=dom, chain_dom=chain_dom, seed=seed, caps=caps)
+        _require(facts["orderInt"] == exp["orderInt"], "|H meet K| mismatch")
+        _require(facts["orderH"] * exp["orderK"] == exp["orderG"] * facts["orderInt"],
+                 "order identity fails")
+    except _Mismatch as e:
+        detail = str(e)
     except (CapExceeded, DomainOverflow) as e:
         return VerificationReport(case.id, "B", f"SKIPPED(scale: {e})", seed=seed)
     except UnboundSymbol as e:
         return VerificationReport(case.id, "B", f"SKIPPED(config: {e})", seed=seed)
     except FactorLabError as e:
-        return _fail(case, computed, exp, seed, t0, f"construction: {e}")
+        detail = f"construction: {e}"
     except Exception as e:  # a bug in one case must not abort a sweep
         where = traceback.extract_tb(e.__traceback__)[-1]
         at = f"{os.path.basename(where.filename)}:{where.lineno}"
-        return _fail(case, computed, exp, seed, t0, f"internal: {type(e).__name__}: {e} ({at})")
-    ms = int((time.perf_counter() - t0) * 1000)
+        detail = f"internal: {type(e).__name__}: {e} ({at})"
     return VerificationReport(
-        case.id, "B", "PASS",
-        computed=computed,
-        expected=_expected(exp),
-        elapsed_ms=ms, seed=seed,
+        case.id, "B", "FAIL" if detail else "PASS",
+        computed=facts, expected=exp,
+        elapsed_ms=int((time.perf_counter() - t0) * 1000), seed=seed, detail=detail,
     )
+
+
+def _stab_facts(facts, exp, *, spec_h, dom, **_):
+    """dom stands for the cosets of K: it has [G:K] points and H is
+    transitive on it, so |H meet K| = |H| / [G:K]."""
+    index, rest = divmod(exp["orderG"], exp["orderK"])
+    _require(not rest, "|K| does not divide |G|")
+    facts["orbitSize"] = dom.size
+    _require(dom.size == index, f"domain size {dom.size} != [G:K] = {index}")
+    facts["orbitSize"] = len(orbit(spec_h.gens, dom.points[0], dom))
+    _require(facts["orbitSize"] == index, "H is not transitive on [G:K]")
+    _require(facts["orderH"] % index == 0, "orbit size does not divide |H|")
+    facts["orderInt"] = facts["orderH"] // index
+
+
+def _sift_facts(facts, exp, *, tb, bnd, h_chain, chain_dom, seed, caps, **_):
+    """|K| by its own chain, H meet K by enumerate-and-sift, then the
+    criterion (f) cross-check on the cosets of K."""
+    k_chain = _build_chain(*_build_group(tb["K"], bnd), chain_dom, seed, caps)
+    facts["orderK"] = k_chain.order()
+    _require(facts["orderK"] == exp["orderK"], "construction: |K| mismatch")
+    inter = enumerate_and_sift(h_chain, k_chain, caps["max_enum"])
+    facts["orderInt"] = len(inter)
+    if "residual_int" in tb:
+        res = solvable_residual(inter, chain_dom, seed=seed, cap=caps["max_enum"])
+        facts["residualOrderInt"] = res.order()
+        _require(res.order() == tb["residual_int"],
+                 "solvable residual of the intersection mismatch")
+    index, rest = divmod(exp["orderG"], exp["orderK"])
+    if not rest and index <= 10 ** 5:
+        facts["cosetOrbit"] = _coset_orbit_size(h_chain, k_chain, chain_dom.size)
+        _require(facts["cosetOrbit"] == index, "criterion (f) disagrees with criterion (d)")
+
+
+# route -> producer(facts, exp, **prefix): adds the route's facts in order
+# and raises _Mismatch at the first that disagrees with the tables
+ROUTES = {"stab": _stab_facts, "sift": _sift_facts}
 
 
 def _coset_orbit_size(h_chain, k_chain, n_points):
     """Size of the orbit of H on the right cosets of K, each coset coded by
     its canonical key."""
-    key = k_chain.coset_key
-    moves = [lambda c, h=h: key(compose(c, h)) for h in h_chain.strong_gens()]
-    return len(bfs(key(list(range(n_points))), moves))
-
-
-def _expected(exp):
-    # empty when the table orders themselves could not be computed
-    if not exp:
-        return {}
-    return {"orderG": exp["G"], "orderH": exp["H"], "orderK": exp["K"], "orderInt": exp["int"]}
-
-
-def _fail(case, computed, exp, seed, t0, why):
-    return VerificationReport(
-        case.id, "B", "FAIL", computed=computed, expected=_expected(exp),
-        elapsed_ms=int((time.perf_counter() - t0) * 1000), seed=seed, detail=why,
-    )
+    key, gens = k_chain.coset_key, h_chain.strong_gens()
+    found = _frontier_orbit(key(list(range(n_points))),
+                            lambda cosets: ([key(compose(c, h)) for c in cosets] for h in gens))
+    return len(found)
 
 
 # -- sweeping --------------------------------------------------------------------
@@ -275,19 +277,14 @@ def tier_b_cases(records):
             yield ConcreteCase(rec, bnd)
 
 
-def sweep(records, tier="a", caps=None, seed=0, table=None, row=None, sub=None):
-    """Run a tier over the (filtered) records; returns (reports, summary)."""
+def sweep(records, tier="a", caps=None, seed=0):
+    """Run a tier over the records; returns (reports, summary)."""
     caps = {**DEFAULT_CAPS, **(caps or {})}
-    chosen = [
-        r for r in records
-        if (table is None or r.table == table) and (row is None or r.row == row)
-        and (sub is None or r.sub == sub)
-    ]
     reports = []
     if tier in ("a", "both"):
-        reports.extend(verify_tier_a(c) for c in tier_a_cases(chosen, caps))
+        reports.extend(verify_tier_a(c) for c in tier_a_cases(records, caps))
     if tier in ("b", "both"):
-        for case in tier_b_cases(chosen):
+        for case in tier_b_cases(records):
             reports.append(verify_tier_b(case, seed=seed, caps=caps))
     return reports, summarize(reports)
 

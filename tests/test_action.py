@@ -12,7 +12,7 @@ from factorlab.linalg import GroupElem, MatF, SpaceFrame, vec_frob, vec_mat
 from factorlab.perm import (
     _decode,
     _encode,
-    bfs,
+    _frontier_orbit,
     contragredient,
     form_orbit,
     nonzero_vectors,
@@ -165,9 +165,9 @@ def test_frontier_pair_orbit_equals_the_sorted_bfs_orbit():
     frame = omega.frame
     dom = ordered_vector_pairs(frame, seed, omega.gens)
     tables = [vector_table(frame, g) for g in omega.gens]
-    moves = [lambda pt, T=T: (T[pt[0]], T[pt[1]]) for T in tables]
     start = (_encode(frame, seed[0]), _encode(frame, seed[1]))
-    assert dom.points == sorted(bfs(start, moves))
+    found = _frontier_orbit(start, lambda pts: ([(T[a], T[b]) for a, b in pts] for T in tables))
+    assert dom.points == sorted(found)
     assert dom.size == 6720
 
 
@@ -193,17 +193,6 @@ def test_perm_of_raises_when_an_image_leaves_the_domain():
     rows[0][1] = 1
     with pytest.raises(PointNotInDomain):
         dom.perm_of(GroupElem(MatF(F, rows)))
-
-
-def test_bfs_is_first_in_first_out_and_capped():
-    # the binary tree on 0..6: FIFO finds it level by level
-    step = [lambda x: min(2 * x + 1, 6), lambda x: min(2 * x + 2, 6)]
-    tree = bfs(0, step)
-    assert list(tree) == [0, 1, 2, 3, 4, 5, 6]
-    assert tree[0] is None and tree[4] == (1, 1) and tree[5] == (2, 0)
-    assert len(bfs(0, step, cap=7)) == 7
-    with pytest.raises(DomainOverflow):
-        bfs(0, step, cap=6)
 
 
 def test_odd_field_add_and_neg_tables_match_digit_loops():

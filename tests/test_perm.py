@@ -11,8 +11,8 @@ from factorlab.linalg import GroupElem, MatF, SpaceFrame
 from factorlab.perm import (
     StabChain,
     _Level,
+    _frontier_orbit,
     _product,
-    bfs,
     bsgs,
     compose,
     derived_chain,
@@ -396,7 +396,8 @@ def _check_level(lvl):
         else:
             x, i = edge
             assert lvl.gens[i][x] == p
-    assert set(lvl.orbit) == set(bfs(lvl.base, [g.__getitem__ for g in lvl.gens]))
+    found = _frontier_orbit(lvl.base, lambda pts: ([g[x] for x in pts] for g in lvl.gens))
+    assert set(lvl.orbit) == found
     for p in lvl.orbit:
         u, ui = lvl.rep(p), lvl.rep_inv(p)
         if p == lvl.base:

@@ -27,6 +27,10 @@ def _case(records, rid, **bindings):
     raise AssertionError(f"no case {rid} {bindings}")
 
 
+def _rows(records, table, row=None):
+    return [r for r in records if r.table == table and row in (None, r.row)]
+
+
 def test_tier_a_examples(records):
     c = _case(records, "T2.2", m=2, q=2)
     r = verify_tier_a(c)
@@ -86,7 +90,7 @@ def test_seed_independence_of_tier_b(records):
 
 
 def test_sweep_summary_and_reports(records):
-    reports, summary = sweep(records, tier="a", table=3)
+    reports, summary = sweep(_rows(records, 3), tier="a")
     assert summary["fail"] == 0 and summary["cases"] == len(reports) == 6
     assert summary_line(summary) == "tables=1 cases=6 pass=6 fail=0 skipped=0"
     payload = [r.to_json() for r in reports]
@@ -95,7 +99,7 @@ def test_sweep_summary_and_reports(records):
 
 
 def test_sweep_filter_matching_nothing(records):
-    reports, summary = sweep(records, tier="a", table=3, row=99)
+    reports, summary = sweep(_rows(records, 3, 99), tier="a")
     assert reports == []
     assert summary == {"tables": 0, "cases": 0, "pass": 0, "fail": 0, "skipped": 0}
 
@@ -150,7 +154,7 @@ def test_tier_b_internal_error_is_a_per_case_fail(records, monkeypatch):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(verify, "_build_domain", broken)
-    reports, summary = sweep(records, tier="b", table=2, row=2)
+    reports, summary = sweep(_rows(records, 2, 2), tier="b")
     assert summary["cases"] == len(reports) == 3  # the sweep went on
     assert summary["fail"] == 3
     for r in reports:
@@ -159,17 +163,23 @@ def test_tier_b_internal_error_is_a_per_case_fail(records, monkeypatch):
         assert r.detail.startswith("internal: RuntimeError: boom (test_verify.py:")
 
 
-def test_stab_route_builds_h_chain_on_the_smaller_faithful_domain(records, monkeypatch):
+@pytest.fixture
+def chain_domains(monkeypatch):
+    """(kind, size) of the domain of every chain that _build_chain builds."""
     import factorlab.verify as verify
 
-    chain_domains = []
+    seen = []
     build_chain = verify._build_chain
 
     def spy(spec, residual, dom, seed, caps):
-        chain_domains.append((dom.kind, dom.size))
+        seen.append((dom.kind, dom.size))
         return build_chain(spec, residual, dom, seed, caps)
 
     monkeypatch.setattr(verify, "_build_chain", spy)
+    return seen
+
+
+def test_stab_route_builds_h_chain_on_the_smaller_faithful_domain(records, chain_domains):
     want = {
         "T6.19[m=4,q=2]": ("NonzeroVectors", 2 ** 8 - 1),    # not the 6720 pairs
         "T1.3a[m=2]": ("NonzeroVectors", 2 ** 4 - 1),        # not the 120 antiflags
@@ -182,6 +192,17 @@ def test_stab_route_builds_h_chain_on_the_smaller_faithful_domain(records, monke
             assert verify_tier_b(case, seed=0).status == "PASS"
             (got[case.id],) = chain_domains
     assert got == want
+
+
+def test_sift_route_builds_every_chain_on_the_smaller_faithful_domain(records, chain_domains):
+    (bundled,) = tier_b_cases([r for r in records if r.id == "T8.1a"])
+    (antiflags,) = tier_b_cases([_mutated(records, "T8.1a", domain=["RefinedAntiflags"])])
+    want = verify_tier_b(bundled, seed=0)
+    chain_domains.clear()
+    got = verify_tier_b(antiflags, seed=0)  # 2016 antiflags, H's and K's chains on 63 vectors
+    assert got.status == want.status == "PASS"
+    assert got.computed == want.computed and got.computed["cosetOrbit"] == 126
+    assert chain_domains == [("NonzeroVectors", 63)] * 2
 
 
 def test_tier_b_unbound_recipe_symbol_is_skipped_and_the_sweep_goes_on(records):
@@ -225,3 +246,82 @@ def test_every_recipe_kind_resolves_and_every_registry_entry_is_used(records):
         module = perm if role in ("frame", "orbit") else construct
         assert builder is None or callable(getattr(module, builder, None)), kind
         assert all(callable(getattr(construct, s, None)) for s in seed), kind
+
+
+def _mutated(records, rid, shapes=(), **tier_b):
+    """A copy of record rid with some table shapes and recipe fields replaced."""
+    rec = next(r for r in records if r.id == rid)
+    mutated = copy.copy(rec)
+    mutated.asts = {**rec.asts, **{k: parse_shape(v) for k, v in shapes}}
+    mutated.tier_b = {**rec.tier_b, **tier_b}
+    return mutated
+
+
+# T1.1b runs the stab route on 15 nonzero vectors (G = 20160, H = 360,
+# K = 1344, int = 24); T8.1a the sift route (G = 1451520, H = 504, K = 11520,
+# int = 4, residual 1, 126 cosets)
+_G1, _G8 = {"orderG": 20160}, {"orderG": 1451520}
+FAIL_DETAILS = {
+    "|H| mismatch": (
+        ("T1.1b", [("H", "361")], {}),
+        "construction: |H| mismatch", {"orderH": 360}),
+    "|K| does not divide |G|": (
+        ("T1.1b", [("K", "1000")], {}),
+        "|K| does not divide |G|", {"orderH": 360, **_G1, "orderK": 1000}),
+    "domain size": (
+        ("T1.1b", [("K", "672")], {}),
+        "domain size 15 != [G:K] = 30",
+        {"orderH": 360, **_G1, "orderK": 672, "orbitSize": 15}),
+    "not transitive": (
+        # P1's residual fixes e_1, so it is far from transitive on 63 vectors
+        ("T8.1a", [("H", "11520"), ("K", "23040")],
+         {"route": "stab", "H": ["parabolic_p1_residual", 3, 2]}),
+        "H is not transitive on [G:K]",
+        {"orderH": 11520, **_G8, "orderK": 23040, "orbitSize": 1}),
+    "|K| mismatch": (
+        ("T8.1a", [("K", "11521")], {}),
+        "construction: |K| mismatch", {"orderH": 504, **_G8, "orderK": 11520}),
+    "residual mismatch": (
+        ("T8.1a", [], {"residual_int": 2}),
+        "solvable residual of the intersection mismatch",
+        {"orderH": 504, **_G8, "orderK": 11520, "orderInt": 4, "residualOrderInt": 1}),
+    "stab |H meet K|": (
+        ("T1.1b", [("int", "25")], {}),
+        "|H meet K| mismatch",
+        {"orderH": 360, **_G1, "orderK": 1344, "orbitSize": 15, "orderInt": 24}),
+    "sift |H meet K|": (
+        ("T8.1a", [("int", "5")], {}),
+        "|H meet K| mismatch",
+        {"orderH": 504, **_G8, "orderK": 11520, "orderInt": 4, "residualOrderInt": 1,
+         "cosetOrbit": 126}),
+    "criterion (f)": (
+        # [G:K] = 252, but H has one orbit of 126 cosets
+        ("T8.1a", [("G", "2903040")], {}),
+        "criterion (f) disagrees with criterion (d)",
+        {"orderH": 504, "orderG": 2903040, "orderK": 11520, "orderInt": 4,
+         "residualOrderInt": 1, "cosetOrbit": 126}),
+    "order identity": (
+        # |K| does not divide this |G|, so criterion (f) is not run
+        ("T8.1a", [("G", "1451521")], {}),
+        "order identity fails",
+        {"orderH": 504, "orderG": 1451521, "orderK": 11520, "orderInt": 4,
+         "residualOrderInt": 1}),
+}
+
+
+@pytest.mark.parametrize("name", FAIL_DETAILS)
+def test_tier_b_fail_details_are_pinned(records, name):
+    (rid, shapes, tier_b), detail, computed = FAIL_DETAILS[name]
+    (case,) = tier_b_cases([_mutated(records, rid, shapes, **tier_b)])
+    r = verify_tier_b(case, seed=0)
+    assert (r.status, r.detail, r.computed) == ("FAIL", detail, computed)
+    assert list(r.computed) == list(computed)  # facts in the order they were found
+    assert set(r.expected) == {"orderG", "orderH", "orderK", "orderInt"}
+
+
+def test_unknown_route_is_skipped_before_anything_is_built(records):
+    # H is not even constructible: the route is looked up first
+    broken = _mutated(records, "T1.1b", route="nope", H=["classical", "Sp", 3, 2])
+    (case,) = tier_b_cases([broken])
+    r = verify_tier_b(case, seed=0)
+    assert (r.status, r.detail, r.computed) == ("SKIPPED(route nope)", "", {})

@@ -37,9 +37,9 @@ def _add_common(p):
 
 
 def _add_caps(p):
-    p.add_argument("--max-order", default="1e40",
+    p.add_argument("--max-order", default=DEFAULT_CAPS["max_order"],
                    help="TIER-A cap on |G0| (default 1e40)")
-    p.add_argument("--max-group", default="1e9",
+    p.add_argument("--max-group", default=DEFAULT_CAPS["max_group"],
                    help="BSGS order cap for TIER-B (default 1e9)")
     p.add_argument("--max-domain", default=DEFAULT_CAPS["max_domain"],
                    help="size cap on a TIER-B domain")

@@ -3,10 +3,16 @@ field-extension blow-ups, Sp inside SU, SU inside Omega, trace-form
 field-extension subgroups and parabolic residuals, plus the seeds of the
 orbit domains the TIER-B recipes use.
 
-Every construction is gate-checked where it is used: generators must be
-isometries of the intended form (plus the Omega-membership test where that
-applies), and the BSGS order must equal the order formula whenever the group
-is small enough to chain.
+Matrix generators are written in one vocabulary: _elem is the identity with
+some entries and square blocks set, and _regroup rewrites elements from a
+grouped basis (e_1..e_m, f_1..f_m) into the frame's.  The radical:Levi
+builders (pm_residual, parabolic_p1_sp_residual) are built from these two.
+
+GroupPresentationSpec.validate is the gate: generators must be isometries of
+the intended form (plus the Omega-membership test where that applies), and
+the BSGS order must equal the order formula whenever the group is small
+enough to chain.  Only the tests call it; verify checks |H| by H's chain but
+never checks that H's generators lie in G (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from .linalg import (
     vec_mat,
     vec_scale,
 )
-from .perm import bsgs, form_values, nonzero_vectors
+from .perm import _decode, bsgs, form_values, nonzero_vectors
 from .shapes import classical_order
 
 
@@ -80,16 +86,33 @@ def _unit(n, i):
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def _field_basis(F: FieldSpec):
-    """An F_p-basis of F: powers of a primitive element."""
-    if F.f == 1:
-        return [1]
-    if F._exp is None:
-        F._build_tables()
-    g = F.generator
+def _elem(F, n, entries=(), blocks=()):
+    """The identity of GL(n, F) with the matrix B of each (row, col, B) in
+    blocks placed with its top left corner at (row, col), then each entry
+    (row, col, x) set."""
+    rows = [list(_unit(n, r)) for r in range(n)]
+    for r, c, B in blocks:
+        for i, brow in enumerate(B.rows):
+            rows[r + i][c:c + len(brow)] = brow
+    for r, c, x in entries:
+        rows[r][c] = x
+    return GroupElem(MatF(F, rows))
+
+
+def _regroup(F, order, gens):
+    """Rewrite elements written in a grouped basis into the frame's basis,
+    where grouped basis vector k is the frame's basis vector order[k]."""
+    back = sorted(range(len(order)), key=order.__getitem__)
+    return [GroupElem(MatF(F, [[g.mat.rows[a][b] for b in back] for a in back]), g.frob)
+            for g in gens]
+
+
+def _powers(F: FieldSpec, k: int):
+    """1, w, ..., w^(k-1) for the primitive element w of F; for k = f, an
+    F_p-basis of F."""
     out = [1]
-    for _ in range(F.f - 1):
-        out.append(F.mul(out[-1], g))
+    for _ in range(k - 1):
+        out.append(F.mul(out[-1], F.primitive()))
     return out
 
 
@@ -98,9 +121,7 @@ def _coeff_pool(F):
     directions of the Omega generating sets."""
     pool = [1]
     if F.q > 2:
-        if F._exp is None:
-            F._build_tables()
-        pool.append(F.generator)
+        pool.append(F.primitive())
         if F.p > 2:
             pool.append(F.neg(1))
     return pool
@@ -122,16 +143,8 @@ def _chain_directions(n, pool, width):
 
 
 def _sl_gens(F, n):
-    gens = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for t in _field_basis(F):
-                rows = [list(_unit(n, r)) for r in range(n)]
-                rows[i][j] = t
-                gens.append(GroupElem(MatF(F, map(tuple, rows))))
-    return gens
+    return [_elem(F, n, [(i, j, t)])
+            for i in range(n) for j in range(n) if i != j for t in _powers(F, F.f)]
 
 
 def _form_transvection(frame, u, lam):
@@ -154,7 +167,7 @@ def _sp_gens(frame):
     whole group."""
     F = frame.field
     return [_form_transvection(frame, u, lam)
-            for u in _chain_directions(frame.n, [1], 2) for lam in _field_basis(F)]
+            for u in _chain_directions(frame.n, [1], 2) for lam in _powers(F, F.f)]
 
 
 def _trace_zero_basis(F: FieldSpec, half: int):
@@ -168,20 +181,13 @@ def _trace_zero_basis(F: FieldSpec, half: int):
 def _isotropic_points(frame):
     """All isotropic projective points of a hermitian frame, each as its
     vector with leading coordinate 1, in ascending code order."""
-    q, n = frame.field.q, frame.n
     out = []
     for code, value in enumerate(form_values(frame)):
         if value or not code:
             continue
-        v = []
-        c = code
-        for _ in range(n):
-            v.append(c % q)
-            c //= q
-        lead = next(x for x in v if x)
-        if lead != 1:
-            continue
-        out.append(tuple(v))
+        v = _decode(frame, code)
+        if next(x for x in v if x) == 1:
+            out.append(v)
     return out
 
 
@@ -212,15 +218,13 @@ def _su_gens(frame):
         return [_form_transvection(frame, u, lam) for u, lam in pairs]
     gens = [_form_transvection(frame, u, lam)
             for u, lam in pairs[:: max(1, len(pairs) // 4)][:4]]
-    if F._exp is None:
-        F._build_tables()
-    alpha = F.generator
+    alpha = F.primitive()
     conj_inv = F.inv(F.frobenius(alpha, half))
     if n % 2:
         diag = [alpha, conj_inv] + [1] * (n - 3) + [F.pow(alpha, q0 - 1)]
     else:
         diag = [alpha, conj_inv, F.inv(alpha), F.frobenius(alpha, half)] + [1] * (n - 4)
-    gens.append(GroupElem(MatF(F, [vec_scale(F, diag[i], _unit(n, i)) for i in range(n)])))
+    gens.append(_elem(F, n, [(i, i, x) for i, x in enumerate(diag)]))
     return gens
 
 
@@ -254,6 +258,12 @@ def _omega_gens(frame):
             if g not in seen and not g.is_identity():
                 seen.add(g)
                 gens.append(g)
+    if (frame.n, F.q, form.sign) == (4, 2, "+"):
+        # O+(4, 2) is not generated by its reflections, and their products
+        # reach only half of Omega+(4, 2); the Siegel element e_1 -> e_1 + f_2,
+        # e_2 -> e_2 + f_1 of pm_residual("Omega+", 2, 2) gives the rest (in
+        # the frame's basis e_1, f_1, e_2, f_2)
+        gens.append(_elem(F, 4, [(0, 3, 1), (2, 1, 1)]))
     return gens
 
 
@@ -300,24 +310,13 @@ def gens_classical(family: str, n: int, q: int) -> GroupPresentationSpec:
 # -- field-extension blow-up ---------------------------------------------------
 
 
-def _ext_power_basis(ext: FieldSpec, sub: FieldSpec):
-    b = ext.f // sub.f
-    if ext._exp is None:
-        ext._build_tables()
-    w = ext.generator
-    wpow = [1]
-    for _ in range(b - 1):
-        wpow.append(ext.mul(wpow[-1], w))
-    return wpow
-
-
 def _subfield_coords(ext: FieldSpec, sub: FieldSpec):
     """Map each x in ext to its coordinates over sub w.r.t. the power basis."""
-    wpow = _ext_power_basis(ext, sub)
+    wpow = _powers(ext, ext.f // sub.f)
     b = len(wpow)
     cols = []
     for t in range(b):
-        for s in _field_basis(sub):
+        for s in _powers(sub, sub.f):
             cols.append((t, s, ext.mul(ext.embed(s, sub), wpow[t])))
     # the products s w^t are an F_p-basis of ext: one inverse over F_p turns
     # the digits of any x into its coefficients on them
@@ -368,7 +367,7 @@ def blowup_elem(g: GroupElem, sub: FieldSpec) -> GroupElem:
 
 def unblow_vector(ext: FieldSpec, sub: FieldSpec, v_big):
     """Reassemble a GF(q)^(ab) row vector into the GF(q^b)^a vector it encodes."""
-    wpow = _ext_power_basis(ext, sub)
+    wpow = _powers(ext, ext.f // sub.f)
     b = len(wpow)
     a = len(v_big) // b
     out = []
@@ -394,7 +393,7 @@ def sp_in_su(m: int, q: int) -> GroupPresentationSpec:
     sp = gens_classical("Sp", 2 * m, q)
     n = 2 * m
     # rows of P are the symplectic basis (mu e_i, f_i) in hermitian coordinates
-    P = MatF(ext, [vec_scale(ext, mu if i % 2 == 0 else 1, _unit(n, i)) for i in range(n)])
+    P = _elem(ext, n, [(i, i, mu) for i in range(0, n, 2)]).mat
     lifted = [GroupElem(MatF(ext, [[ext.embed(x, sub) for x in row] for row in g.mat.rows]))
               for g in sp.gens]
     gens = rebase(lifted, P.inv(), P)  # hermitian coordinates from symplectic ones
@@ -490,217 +489,85 @@ def parabolic_p1_sp_residual(m: int, q: int):
     F = FieldSpec.get(q)
     n = 2 * m
     k = m - 1
-    frame_std = SpaceFrame.symplectic(F, m)
-    # section basis: x, mid_1..mid_2k, y -> ambient e1, e2..em, f2..fm, f1
-    perm = [0] + [2 * (i + 1) for i in range(k)] + [2 * (i + 1) + 1 for i in range(k)] + [1]
-    P = MatF(F, [_unit(n, p) for p in perm])
-
-    def bmat(u):
-        # (B_k u^T) for the middle pairing beta(mid_i, mid_{k+j}) = delta_ij
-        out = [0] * (2 * k)
-        for i in range(k):
-            out[i] = u[k + i]
-            out[k + i] = F.neg(u[i])
-        return out
-
-    gens_sec = []
-    for bval in _field_basis(F):
-        rows = [list(_unit(n, i)) for i in range(n)]
-        rows[n - 1][0] = bval
-        gens_sec.append(rows)
-    for i in range(2 * k):
-        for t in _field_basis(F):
-            u = [0] * (2 * k)
-            u[i] = t
-            mb = [F.neg(x) for x in bmat(u)]
-            rows = [list(_unit(n, r)) for r in range(n)]
-            for r in range(2 * k):
-                rows[1 + r][0] = mb[r]
-            for c in range(2 * k):
-                rows[n - 1][1 + c] = u[c]
-            gens_sec.append(rows)
+    basis = _powers(F, F.f)
+    # the radical in the section basis x, mid_1..mid_2k, y (ambient e_1,
+    # e_2..e_m, f_2..f_m, f_1), where beta(mid_i, mid_(k+i)) = 1: y -> y + t x,
+    # and mid_i -> mid_i + t y together with its partner mid_(i+-k) -> +-t x
+    radical = [_elem(F, n, [(n - 1, 0, t)]) for t in basis]
+    radical += [_elem(F, n, [(1 + (i + k) % (2 * k), 0, t if i < k else F.neg(t)),
+                             (n - 1, 1 + i, t)])
+                for i in range(2 * k) for t in basis]
+    gens = _regroup(F, [0, *range(2, n, 2), *range(3, n, 2), 1], radical)
     if k:
-        midsp = gens_classical("Sp", 2 * k, q)
-        gp = [2 * i for i in range(k)] + [2 * i + 1 for i in range(k)]
-        Pm = MatF(F, [_unit(2 * k, p) for p in gp])
-        for g in rebase(midsp.gens, Pm.inv(), Pm):
-            rows = [list(_unit(n, r)) for r in range(n)]
-            for r in range(2 * k):
-                for c in range(2 * k):
-                    rows[1 + r][1 + c] = g.mat.rows[r][c]
-            gens_sec.append(rows)
-    gens = rebase([GroupElem(MatF(F, map(tuple, rows))) for rows in gens_sec], P.inv(), P)
+        # the Levi block Sp_2k(q) on e_2, f_2, ..., e_m, f_m, in the frame's order
+        gens += [_elem(F, n, blocks=[(2, 2, g.mat)])
+                 for g in gens_classical("Sp", 2 * k, q).gens]
     full = q ** (2 * m - 1) * classical_order("Sp", 2 * m - 2, q)
     residual = q ** (2 * m - 1) * classical_order("Sp", 2 * m - 2, q, primed=True)
     spec = GroupPresentationSpec(
-        "ParabolicP1Sp", n, q, frame_std, gens, full, f"R:Sp({2*m-2},{q})<Sp({n},{q})"
+        "ParabolicP1Sp", n, q, SpaceFrame.symplectic(F, m), gens, full,
+        f"R:Sp({2*m-2},{q})<Sp({n},{q})"
     )
     return spec, residual
 
 
 def pm_residual(family: str, m: int, q: int, include_radical=True) -> GroupPresentationSpec:
     """Full-radical residual R:T of the stabilizer of a maximal totally
-    singular subspace (for SL: of a nonzero vector, with m the dimension).
-    With include_radical=False only the Levi block T is returned."""
-    F = FieldSpec.get(q)
-    if family == "SL":
-        n = m
-        gens = []
-        for i in range(1, n):
-            for t in _field_basis(F):
-                rows = [list(_unit(n, r)) for r in range(n)]
-                rows[i][0] = t
-                gens.append(GroupElem(MatF(F, map(tuple, rows))))
-        for g in _sl_gens(F, n - 1):
-            rows = [list(_unit(n, r)) for r in range(n)]
-            for r in range(n - 1):
-                for c in range(n - 1):
-                    rows[1 + r][1 + c] = g.mat.rows[r][c]
-            gens.append(GroupElem(MatF(F, map(tuple, rows))))
-        expected = q ** (n - 1) * classical_order("SL", n - 1, q)
-        return GroupPresentationSpec(
-            "PmResidual", n, q, classical_frame("SL", n, q), gens, expected,
-            f"q^{n-1}:SL({n-1},{q})",
-        )
-    if family == "OmegaOdd":
-        return _pm_residual_omega_odd(F, m, q)
+    singular subspace <e_1..e_m> (for SL: of the vector v_1, with m the
+    dimension).  With include_radical=False only the Levi block T is
+    returned.
 
-    if family == "Sp":
-        EF = F
-        n = 2 * m
-        nmats = []
-        for i in range(m):
-            for j in range(i, m):
-                for t in _field_basis(F):
-                    N = [[0] * m for _ in range(m)]
-                    N[i][j] = t
-                    N[j][i] = t
-                    nmats.append(N)
-        levi = _sl_gens(F, m)
-        radical = q ** (m * (m + 1) // 2)
-        levi_order = classical_order("SL", m, q)
-        frame_std = SpaceFrame.symplectic(F, m)
-    elif family == "SU":
-        sub = F
-        EF = sub.extend(2)
-        n = 2 * m
-        half = EF.f // 2
-        nmats = []
-        for i in range(m):
-            for t in _trace_zero_basis(EF, half):
-                N = [[0] * m for _ in range(m)]
-                N[i][i] = t
-                nmats.append(N)
-        for i in range(m):
-            for j in range(i + 1, m):
-                for t in _field_basis(EF):
-                    N = [[0] * m for _ in range(m)]
-                    N[i][j] = t
-                    N[j][i] = EF.neg(EF.frobenius(t, half))
-                    nmats.append(N)
-        levi = _sl_gens(EF, m)
-        radical = q ** (m * m)
-        levi_order = classical_order("SL", m, EF.q)
-        frame_std = SpaceFrame.hermitian(EF, n)
-    elif family == "Omega+":
-        EF = F
-        n = 2 * m
-        nmats = []
-        for i in range(m):
-            for j in range(i + 1, m):
-                for t in _field_basis(F):
-                    N = [[0] * m for _ in range(m)]
-                    N[i][j] = t
-                    N[j][i] = F.neg(t)
-                    nmats.append(N)
-        levi = _sl_gens(F, m)
-        radical = q ** (m * (m - 1) // 2)
-        levi_order = classical_order("SL", m, q)
-        frame_std = SpaceFrame.quadratic(F, n, "+")
-    else:
+    SL: R is the column below v_1 and T is SL_(m-1)(q) on v_2..v_m.  The
+    others are written in a grouped basis (e_1..e_m, f_1..f_m; for OmegaOdd
+    with d between them) and regrouped into the frame's.  Sp, SU and Omega+
+    share one loop: R = [[I, N], [0, I]] with N[j][i] = sign N[i][j]^sigma
+    and T = diag(A, A^(-sigma T)), A in SL_m, where (sign, sigma, F_p-basis
+    of the diagonal entries) is (+1, id, F) for Sp, (-1, the q-Frobenius,
+    the trace-zero elements) for SU and (-1, id, none) for Omega+.  OmegaOdd
+    has Q(x, c, y) = c^2 + x.y on (e, d, f) and T = diag(A, 1, A^-T)."""
+    if family not in ("SL", "Sp", "SU", "Omega+", "OmegaOdd"):
         raise UnsupportedParameters(f"no pm_residual for family {family!r}")
-
-    half = EF.f // 2 if family == "SU" else 0
-    gens_grouped = []
-    if not include_radical:
-        nmats = []
-        radical = 1
-    for N in nmats:
-        rows = [list(_unit(n, r)) for r in range(n)]
-        for i in range(m):
-            for j in range(m):
-                if N[i][j]:
-                    rows[i][m + j] = N[i][j]
-        gens_grouped.append(rows)
-    for g in levi:
-        A = g.mat
-        if family == "SU":
-            B = A.map_entries(lambda x: EF.frobenius(x, half)).inv().transpose()
-        else:
-            B = A.inv().transpose()
-        rows = [list(_unit(n, r)) for r in range(n)]
-        for i in range(m):
-            for j in range(m):
-                rows[i][j] = A.rows[i][j]
-                rows[m + i][m + j] = B.rows[i][j]
-        gens_grouped.append(rows)
-    gp = [2 * i for i in range(m)] + [2 * i + 1 for i in range(m)]
-    P = MatF(EF, [_unit(n, p) for p in gp])
-    gens = rebase([GroupElem(MatF(EF, map(tuple, rows))) for rows in gens_grouped], P.inv(), P)
-    return GroupPresentationSpec(
-        "PmResidual", n, q, frame_std, gens, radical * levi_order,
-        f"pm_residual({family},{m},{q})",
-    )
-
-
-def _pm_residual_omega_odd(F, m, q):
-    if F.p == 2:
+    if family == "OmegaOdd" and q % 2 == 0:
         raise IllegalParameters("odd-dimensional orthogonal groups need odd q")
-    n = 2 * m + 1
-    gens_grouped = []
+    n = m if family == "SL" else 2 * m + (family == "OmegaOdd")
+    frame = classical_frame(family, n, q)
+    F = frame.field
+    basis = _powers(F, F.f)
+    if family == "SL":
+        radical = [_elem(F, n, [(i, 0, t)]) for i in range(1, n) for t in basis]
+        levi = [_elem(F, n, blocks=[(1, 1, g.mat)]) for g in _sl_gens(F, n - 1)]
+        order, radical_order, levi_order = range(n), q ** (n - 1), classical_order("SL", n - 1, q)
+    else:
+        j = F.f // 2 if family == "SU" else 0    # sigma: x -> x^(p^j)
+        # T = diag(A, A^(-sigma T)), the second block on f_1..f_m
+        levi = [_elem(F, n, blocks=[(0, 0, A), (n - m, n - m, A.frob(j).inv().transpose())])
+                for A in (g.mat for g in _sl_gens(F, m))]
+        order = [*range(0, 2 * m, 2), *range(2 * m, n), *range(1, 2 * m, 2)]
+        levi_order = classical_order("SL", m, F.q)
+    if family == "OmegaOdd":
+        # w e_i for w in F: d -> d - 2w e_i, f_i -> f_i + w d - w^2 e_i; then
+        # f_j -> f_j + t e_i, f_i -> f_i - t e_j
+        radical = [_elem(F, n, [(m, i, F.neg(F.add(t, t))), (m + 1 + i, m, t),
+                                (m + 1 + i, i, F.neg(F.mul(t, t)))])
+                   for i in range(m) for t in basis]
+        radical += [_elem(F, n, [(m + 1 + j, i, t), (m + 1 + i, j, F.neg(t))])
+                    for i in range(m) for j in range(i + 1, m) for t in basis]
+        radical_order = q ** (m * (m + 1) // 2)
+    elif family != "SL":
+        diag = basis if family == "Sp" else _trace_zero_basis(F, j) if j else []
 
-    def unip(w, A):
-        # grouped basis (e_1..e_m, d, f_1..f_m), Q(x, c, y) = c^2 + x.y
-        rows = [list(_unit(n, r)) for r in range(n)]
-        for i in range(m):
-            rows[m][i] = F.neg(F.add(w[i], w[i]))
-        for j in range(m):
-            rows[m + 1 + j][m] = w[j]
-            for i in range(m):
-                s = F.sub(A[i][j], F.mul(w[i], w[j]))
-                if s:
-                    rows[m + 1 + j][i] = s
-        return rows
+        def twin(t):
+            x = F.frobenius(t, j)
+            return x if family == "Sp" else F.neg(x)
 
-    zero = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for t in _field_basis(F):
-            w = [0] * m
-            w[i] = t
-            gens_grouped.append(unip(w, zero))
-    for i in range(m):
-        for j in range(i + 1, m):
-            for t in _field_basis(F):
-                A = [[0] * m for _ in range(m)]
-                A[i][j] = t
-                A[j][i] = F.neg(t)
-                gens_grouped.append(unip([0] * m, A))
-    for g in _sl_gens(F, m):
-        A = g.mat
-        B = A.inv().transpose()
-        rows = [list(_unit(n, r)) for r in range(n)]
-        for i in range(m):
-            for j in range(m):
-                rows[i][j] = A.rows[i][j]
-                rows[m + 1 + i][m + 1 + j] = B.rows[i][j]
-        gens_grouped.append(rows)
-    perm = [2 * i for i in range(m)] + [n - 1] + [2 * i + 1 for i in range(m)]
-    P = MatF(F, [_unit(n, p) for p in perm])
-    gens = rebase([GroupElem(MatF(F, map(tuple, rows))) for rows in gens_grouped], P.inv(), P)
-    expected = q ** (m * (m - 1) // 2) * q ** m * classical_order("SL", m, q)
+        radical = [_elem(F, n, [(a, m + b, t), (b, m + a, twin(t))])
+                   for a in range(m) for b in range(a, m) for t in (diag if a == b else basis)]
+        radical_order = F.q ** (m * (m - 1) // 2) * F.p ** (m * len(diag))
+    if not include_radical:
+        radical, radical_order = [], 1
     return GroupPresentationSpec(
-        "PmResidual", n, q, SpaceFrame.quadratic(F, n, "odd"), gens, expected,
-        f"pm_residual(OmegaOdd,{m},{q})",
+        "PmResidual", n, q, frame, _regroup(F, order, radical + levi), radical_order * levi_order,
+        f"pm_residual({family},{m},{q})",
     )
 
 

@@ -247,6 +247,12 @@ class FieldSpec:
                 return
         raise RuntimeError("no generator found (impossible)")
 
+    def primitive(self):
+        """The primitive element whose powers index the log tables."""
+        if self._exp is None:
+            self._build_tables()
+        return self.generator
+
     def mul(self, x, y):
         if x == 0 or y == 0:
             return 0

@@ -547,7 +547,7 @@ def quadratic_change_of_basis(field: FieldSpec, qfun, n: int, target_mu=None):
     pool = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     new_basis = []
     while len(pool) > 2:
-        v = _find_singular(field, qfun, pool)
+        v = _find_singular(field, qfun, bil, pool)
         if v is None:
             raise DecompositionFailure("no singular vector in dimension > 2")
         w = hyperbolic_partner(pool, v)
@@ -564,7 +564,7 @@ def quadratic_change_of_basis(field: FieldSpec, qfun, n: int, target_mu=None):
         new_basis.append(vec_scale(field, c, d))
         return MatF(field, new_basis), "odd"
     if len(pool) == 2:
-        v = _find_singular(field, qfun, pool)
+        v = _find_singular(field, qfun, bil, pool)
         if v is None:
             em, fm = _anisotropic_pair(field, qfun, bil, pool, target_mu)
             new_basis.extend([em, fm])
@@ -577,12 +577,10 @@ def quadratic_change_of_basis(field: FieldSpec, qfun, n: int, target_mu=None):
     raise DecompositionFailure("unexpected tail dimension")
 
 
-def _find_singular(field, qfun, pool):
-    """A nonzero singular vector in the span of pool, or None (span anisotropic)."""
+def _find_singular(field, qfun, bil, pool):
+    """A nonzero singular vector in the span of pool, or None (span
+    anisotropic); bil is the polarization of qfun."""
     from itertools import combinations
-
-    def bil(u, v):
-        return field.sub(field.sub(qfun(vec_add(field, u, v)), qfun(u)), qfun(v))
 
     for u in pool:
         if qfun(u) == 0:

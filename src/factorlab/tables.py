@@ -228,31 +228,10 @@ def _unitary_c_values(a, b):
     return out
 
 
-def _plus_c_values(a, b, g):
-    """Eq-(7.4)-style exponents: I in {1..floor(b/2)} with gcd(I, b) = g,
-    E in {0, full wedge part}; c = log|E| + (2|I|-1)a^2 b/2 or |I| a^2 b."""
-    out = []
-    half = b // 2
-    e_options = [0, b * a * (a - 1) // 2]
-    for k in range(0, half + 1):
-        for I in itertools.combinations(range(1, half + 1), k):
-            got = math.gcd(*I, b) if I else b
-            if got != g:
-                continue
-            if b % 2 == 0 and b // 2 in I:
-                dim = (2 * k - 1) * a * a * b // 2
-            else:
-                dim = k * a * a * b
-            for e in e_options:
-                c = e + dim
-                if c not in out:
-                    out.append(c)
-    return sorted(out)
-
-
 def _sp_c_values(a, b, g=None, full_radical=True):
-    """Eq-(8.2)-style exponents.  full_radical: E is the whole symmetric part
-    and I is free; otherwise E in {0, wedge part} and gcd(I, b) = g."""
+    """Eq-(7.4)- and Eq-(8.2)-style exponents.  full_radical: E is the whole
+    symmetric part and I is free; otherwise E in {0, wedge part} and
+    gcd(I, b) = g."""
     out = []
     half = b // 2
     if full_radical:
@@ -277,35 +256,29 @@ def _sp_c_values(a, b, g=None, full_radical=True):
 
 
 def _derived_expansions(record, base):
-    """List of dicts of derived symbols for one base binding."""
+    """List of dicts of derived symbols for one base binding.  A kind may
+    carry an "_a6" suffix (a = 6 in place of the bound a) and a ":g" suffix
+    (the required gcd of I and b)."""
     singles = {}
     c_lists = None
     for name, kind in record.derived.items():
+        head, _, g = kind.partition(":")
+        stem = head.removesuffix("_a6")
+        a = 6 if stem != head else base.get("a")
         if kind == "linear_c":
-            a, b, q = base["a"], base["b"], base["q"]
+            b, q = base["b"], base["q"]
             singles[name] = 2 if (q, a, b) == (2, 4, 1) else a * b - b
         elif kind == "sp_d":
-            a, b, q = base["a"], base["b"], base["q"]
+            b, q = base["b"], base["q"]
             singles[name] = 2 if (a, b, q) == (1, 3, 2) else 2 * a * b - b
         elif kind == "two_part_b":
             singles[name] = two_part(base["b"])
-        elif kind == "unitary_cI":
-            c_lists = _unitary_c_values(base["a"], base["b"])
-        elif kind == "unitary_cI_a6":
-            c_lists = _unitary_c_values(6, base["b"])
-        elif kind.startswith("plus_cIE_a6:"):
-            c_lists = _plus_c_values(6, base["b"], int(kind.split(":")[1]))
-        elif kind.startswith("plus_cIE:"):
-            c_lists = _plus_c_values(base["a"], base["b"], int(kind.split(":")[1]))
-        elif kind == "sp_cE_full_I":
-            c_lists = _sp_c_values(base["a"], base["b"], full_radical=True)
-        elif kind == "sp_cE_full_I_a6":
-            c_lists = _sp_c_values(6, base["b"], full_radical=True)
-        elif kind.startswith("sp_cIE_prop_a6:"):
-            c_lists = _sp_c_values(6, base["b"], g=int(kind.split(":")[1]), full_radical=False)
-        elif kind.startswith("sp_cIE_prop:"):
-            c_lists = _sp_c_values(base["a"], base["b"], g=int(kind.split(":")[1]),
-                                   full_radical=False)
+        elif stem == "unitary_cI" and not g:
+            c_lists = _unitary_c_values(a, base["b"])
+        elif stem == "sp_cE_full_I" and not g:
+            c_lists = _sp_c_values(a, base["b"], full_radical=True)
+        elif stem in ("plus_cIE", "sp_cIE_prop") and g:
+            c_lists = _sp_c_values(a, base["b"], g=int(g), full_radical=False)
         else:
             raise ValueError(f"unknown derived kind {kind!r}")
     if c_lists is None:

@@ -23,13 +23,13 @@ from .errors import CapExceeded, DomainOverflow, FactorLabError, UnboundSymbol
 from . import construct, perm
 from .perm import _frontier_orbit, bsgs, compose, enumerate_and_sift, orbit, solvable_residual
 from .shapes import order_of
-from .tables import ConcreteCase, _derived_expansions, admissible_bindings
+from .tables import DEFAULT_ORDER_CAP, ConcreteCase, _derived_expansions, admissible_bindings
 
 DEFAULT_CAPS = {
-    "max_order": 10 ** 40,      # TIER-A binding enumeration cap on |G0|
-    "max_group": 10 ** 9,       # BSGS order cap
-    "max_domain": 1 << 20,      # faithful domain size cap
-    "max_enum": 10 ** 6,        # enumerate-and-sift cap on |H|
+    "max_order": DEFAULT_ORDER_CAP,         # TIER-A binding enumeration cap on |G0|
+    "max_group": 10 ** 9,                   # BSGS order cap
+    "max_domain": perm.DEFAULT_DOMAIN_CAP,  # faithful domain size cap
+    "max_enum": perm.DEFAULT_ENUM_CAP,      # enumerate-and-sift cap on |H|
 }
 
 

@@ -11,8 +11,10 @@ from factorlab.construct import (
     ext_field_subgroup,
     frobenius_elem,
     gens_classical,
+    parabolic_p1_sp,
     parabolic_p1_sp_residual,
     pm_residual,
+    sl_levi,
     sp_in_su,
     su_in_omega,
     unblow_vector,
@@ -82,8 +84,10 @@ def _size_bound(family, n, q):
     return n - 1 + (2 * n - 3) * pool
 
 
-# the TIER-B groups, the G of the Sp_6(3) triple and the order-oracle groups
-GENERATED = list(dict.fromkeys(_sweep_groups() + [("Sp", 6, 3)] + ORACLE_GROUPS))
+# the TIER-B groups, the G of the Sp_6(3) triple, Omega+(4, 2) (whose
+# reflection products alone reach only half of it) and the order-oracle groups
+GENERATED = list(dict.fromkeys(
+    _sweep_groups() + [("Sp", 6, 3), ("Omega+", 4, 2)] + ORACLE_GROUPS))
 
 
 @pytest.mark.parametrize("family,n,q", GENERATED)
@@ -205,6 +209,19 @@ def test_parabolic_p1_residual_sp62():
     assert res.order() == residual_order == 11520
 
 
+def _proven_order(spec):
+    """The order of the group spec generates, proven by an untargeted chain
+    on the nonzero vectors, after the gate of GroupPresentationSpec.validate:
+    the generators preserve the form and, on a quadratic frame, lie in Omega."""
+    form = spec.frame.form
+    for g in spec.gens:
+        if form is not None:
+            assert is_isometry(g, form)
+            if form.kind == "quadratic":
+                assert in_omega(g, spec.frame)
+    return bsgs(spec.gens, nonzero_vectors(spec.frame), seed=0).order()
+
+
 @pytest.mark.parametrize(
     "family,m,q,expected",
     [
@@ -213,13 +230,37 @@ def test_parabolic_p1_residual_sp62():
         ("Omega+", 4, 2, 1290240),
         ("SL", 4, 2, 8 * 168),
         ("OmegaOdd", 2, 3, 9 * 3 * 24),
+        ("Sp", 2, 3, 27 * 24),
+        ("SU", 3, 2, 2 ** 9 * 60480),
+        ("OmegaOdd", 2, 5, 25 * 5 * 120),
     ],
 )
 def test_pm_residual_orders(family, m, q, expected):
     spec = pm_residual(family, m, q)
     assert spec.expected_order == expected
-    chain = spec.validate(seed=0)
-    assert chain.order() == expected
+    assert _proven_order(spec) == expected
+
+
+@pytest.mark.parametrize(
+    "family,m,q,expected",
+    [("Sp", 3, 2, 168), ("SU", 2, 2, 60), ("SL", 3, 2, 6), ("OmegaOdd", 2, 3, 24)],
+)
+def test_sl_levi_is_the_levi_block(family, m, q, expected):
+    spec = sl_levi(family, m, q)
+    assert spec.expected_order == expected
+    assert _proven_order(spec) == expected
+
+
+@pytest.mark.parametrize(
+    "m,q,expected",
+    # m = 1: the Levi block is empty; m = 4: the first Levi block Sp_2m-2(q)
+    # with more than two hyperbolic pairs, which a wrongly ordered basis breaks
+    [(1, 3, 3), (2, 4, 4 ** 3 * 60), (4, 2, 2 ** 7 * 1451520)],
+)
+def test_parabolic_p1_sp_orders(m, q, expected):
+    spec = parabolic_p1_sp(m, q)
+    assert spec.expected_order == expected
+    assert _proven_order(spec) == expected
 
 
 def test_gamma_o_minus_ext_lies_in_o_minus_not_omega():

@@ -14,7 +14,7 @@ from .errors import FactorLabError, FieldMismatch, NotSubgroup, UsageError
 from .gf import FieldSpec
 from .linalg import GroupElem, SpaceFrame
 from .perm import bsgs, enumerate_and_sift, nonzero_vectors
-from .tables import admissible_bindings, load_db
+from .tables import DERIVED_DOC, admissible_bindings, export_db, load_db
 from .verify import (
     DEFAULT_CAPS,
     summarize,
@@ -168,9 +168,7 @@ def cmd_show(args):
         if r.where:
             lines.append(f"  where  {' and '.join(f'({w})' for w in r.where)}")
         for name, kind in r.derived.items():
-            from .tables import DERIVED_DOC
-
-            lines.append(f"  {name}      {DERIVED_DOC.get(kind, kind)}")
+            lines.append(f"  {name}      {DERIVED_DOC[kind]}")
         if r.ref:
             lines.append(f"  ref    {r.ref}")
         if r.remarks:
@@ -244,8 +242,6 @@ def cmd_sweep(args):
 
 
 def cmd_export_db(args):
-    from .tables import export_db
-
     _emit(args, export_db(args.db))
     return 0
 

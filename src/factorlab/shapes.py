@@ -14,11 +14,18 @@ pairs (u,v) denote gcd and become gcd(u,v)):
     arith  := integer arithmetic over bindings with + - * / ^ % and gcd(u,v)
 
 All separators evaluate multiplicatively; '/k' divides exactly or raises.
+
+`parse_condition` reads a database `where` constraint or parameter `expr`:
+arith plus Python's or, and, not, chained comparisons, unary minus (-2^2 is
+-4) and the calls odd(u), even(u), gcd(u,v), min(u,v), max(u,v), as arith
+nodes that `arith_eval` evaluates.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import random
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,7 +40,15 @@ from .errors import (
 from .gf import is_prime_power, split_prime_power
 
 # -- arithmetic expressions -------------------------------------------------
-# nodes: ('int', v) ('var', name) ('add'|'sub'|'mul'|'div'|'mod'|'pow'|'gcd', l, r)
+# nodes: ('int', v) ('var', name) ('add'|'sub'|'mul'|'div'|'mod'|'pow'|'gcd', l, r);
+# conditions add ('and'|'or'|'min'|'max'|comparison, l, r) and (op in _UNARY, u)
+
+_UNARY = {"neg": operator.neg, "not": operator.not_,
+          "odd": lambda v: v % 2 == 1, "even": lambda v: v % 2 == 0}
+_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+           "mod": operator.mod, "gcd": math.gcd, "min": min, "max": max, **_COMPARE}
 
 
 def arith_eval(node, bindings):
@@ -45,27 +60,24 @@ def arith_eval(node, bindings):
             return bindings[node[1]]
         except KeyError:
             raise UnboundSymbol(f"unbound symbol {node[1]!r}") from None
+    # and, or stop once the result is known
+    if op == "and":
+        return bool(arith_eval(node[1], bindings)) and bool(arith_eval(node[2], bindings))
+    if op == "or":
+        return bool(arith_eval(node[1], bindings)) or bool(arith_eval(node[2], bindings))
+    if len(node) == 2:
+        return _UNARY[op](arith_eval(node[1], bindings))
     l = arith_eval(node[1], bindings)
     r = arith_eval(node[2], bindings)
-    if op == "add":
-        return l + r
-    if op == "sub":
-        return l - r
-    if op == "mul":
-        return l * r
     if op == "div":
         if r == 0 or l % r:
             raise NonIntegralQuotient(f"{l}/{r} is not an integer")
         return l // r
-    if op == "mod":
-        return l % r
     if op == "pow":
         if r < 0:
             raise NonIntegralQuotient(f"negative exponent {r}")
         return l ** r
-    if op == "gcd":
-        return math.gcd(l, r)
-    raise ValueError(f"bad arith node {node!r}")
+    return _BINARY[op](l, r)
 
 
 def arith_symbols(node, out=None):
@@ -74,8 +86,8 @@ def arith_symbols(node, out=None):
     if node[0] == "var":
         out.add(node[1])
     elif node[0] != "int":
-        arith_symbols(node[1], out)
-        arith_symbols(node[2], out)
+        for child in node[1:]:
+            arith_symbols(child, out)
     return out
 
 
@@ -154,8 +166,6 @@ class Quot:
     div: int | None = None
 
 
-ShapeExpr = Quot
-
 FAMILIES = {
     "SL", "GL", "PSL", "PGL", "SigmaL", "GammaL", "PGaL", "PSigmaL",
     "SU", "GU", "PSU", "PGU", "GammaU",
@@ -185,14 +195,16 @@ NAMED_ORDERS = {
 _NAMED_RE = re.compile(r"^(A|S|D)([0-9]+)$")
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<sym>[][()^:.,*/%'+-]))"
+    r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
+    r"|(?P<sym>[<>=!]=|[][()^:.,*/%'+<>-]))"
 )
 
 
 def _tokenize(s):
     tokens = []
     pos = 0
-    while pos < len(s):
+    stop = len(s.rstrip())
+    while pos < stop:
         m = _TOKEN_RE.match(s, pos)
         if not m or m.end() == m.start():
             raise ShapeSyntaxError(f"bad character {s[pos]!r}", pos)
@@ -216,10 +228,11 @@ def _tokenize(s):
 
 
 class _Parser:
-    def __init__(self, s):
+    def __init__(self, s, condition=False):
         self.src = s
         self.tokens = _tokenize(s)
         self.i = 0
+        self.condition = condition  # read the levels parse_condition adds
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else ("eof", None, len(self.src))
@@ -236,6 +249,60 @@ class _Parser:
                 f"expected {value or kind}, found {t[1]!r}", t[2], (value or kind,)
             )
         return t
+
+    def whole(self, rule):
+        node = rule(self)
+        t = self.peek()
+        if t[0] != "eof":
+            raise ShapeSyntaxError(f"trailing input {t[1]!r}", t[2])
+        return node
+
+    # conditions -----------------------------------------------------------
+
+    def disjunction(self):
+        node = self.conjunction()
+        while self.peek()[:2] == ("name", "or"):
+            self.next()
+            node = ("or", node, self.conjunction())
+        return node
+
+    def conjunction(self):
+        node = self.negation()
+        while self.peek()[:2] == ("name", "and"):
+            self.next()
+            node = ("and", node, self.negation())
+        return node
+
+    def negation(self):
+        if self.peek()[:2] == ("name", "not"):
+            self.next()
+            return ("not", self.negation())
+        return self.comparison()
+
+    def comparison(self):
+        # a < b <= c is (a < b) and (b <= c), as Python chains it
+        left = self.arith()
+        node = None
+        while self.peek()[0] == "sym" and self.peek()[1] in _COMPARE:
+            op = self.next()[1]
+            right = self.arith()
+            link = (op, left, right)
+            node = link if node is None else ("and", node, link)
+            left = right
+        return left if node is None else node
+
+    def inner(self):
+        """A parenthesized or call argument: a whole condition in a condition."""
+        return self.disjunction() if self.condition else self.arith()
+
+    def call(self, name):
+        self.expect("sym", "(")
+        node = (name, self.inner())
+        if name not in _UNARY:
+            self.expect("sym", ",")
+            node += (self.inner(),)
+        self.expect("sym", ")")
+        return node
 
     # arithmetic ----------------------------------------------------------
 
@@ -256,6 +323,10 @@ class _Parser:
         return node
 
     def arith_pow(self):
+        # unary minus binds looser than ^, as in Python: -2^2 is -4, 2^-1 reads
+        if self.condition and self.peek()[:2] == ("sym", "-"):
+            self.next()
+            return ("neg", self.arith_pow())
         node = self.arith_atom()
         if self.peek()[:2] == ("sym", "^"):
             self.next()
@@ -267,16 +338,11 @@ class _Parser:
         if t[0] == "int":
             return ("int", t[1])
         if t[0] == "name":
-            if t[1] == "gcd":
-                self.expect("sym", "(")
-                l = self.arith()
-                self.expect("sym", ",")
-                r = self.arith()
-                self.expect("sym", ")")
-                return ("gcd", l, r)
+            if t[1] == "gcd" or (self.condition and t[1] in ("min", "max", "odd", "even")):
+                return self.call(t[1])
             return ("var", t[1])
         if t[:2] == ("sym", "("):
-            node = self.arith()
+            node = self.inner()
             self.expect("sym", ")")
             return node
         raise ShapeSyntaxError(f"expected arithmetic, found {t[1]!r}", t[2], ("int", "var", "("))
@@ -369,13 +435,13 @@ class _Parser:
         raise ShapeSyntaxError(f"bad exponent at {t[1]!r}", t[2], ("int", "var", "("))
 
 
-def parse_shape(s: str) -> ShapeExpr:
-    p = _Parser(s)
-    node = p.expr()
-    t = p.peek()
-    if t[0] != "eof":
-        raise ShapeSyntaxError(f"trailing input {t[1]!r}", t[2])
-    return node
+def parse_shape(s: str) -> Quot:
+    return _Parser(s).whole(_Parser.expr)
+
+
+def parse_condition(s: str) -> tuple:
+    """A `where` constraint or a parameter `expr` as an arith node."""
+    return _Parser(s, condition=True).whole(_Parser.disjunction)
 
 
 def print_shape(node) -> str:
@@ -411,30 +477,6 @@ def print_shape(node) -> str:
     raise TypeError(f"not a shape node: {node!r}")
 
 
-def shape_symbols(node, out=None):
-    if out is None:
-        out = set()
-    if isinstance(node, Quot):
-        shape_symbols(node.prod, out)
-    elif isinstance(node, Prod):
-        for t in node.terms:
-            shape_symbols(t, out)
-    elif isinstance(node, Term):
-        for a in node.atoms:
-            shape_symbols(a, out)
-    elif isinstance(node, Family):
-        for a in node.args:
-            arith_symbols(a, out)
-    elif isinstance(node, PowerAtom):
-        arith_symbols(node.base, out)
-        arith_symbols(node.expo, out)
-    elif isinstance(node, Bracket):
-        arith_symbols(node.arith, out)
-    elif isinstance(node, Group):
-        shape_symbols(node.expr, out)
-    return out
-
-
 # -- orders -----------------------------------------------------------------
 
 
@@ -443,11 +485,6 @@ def _prod(iterable):
     for x in iterable:
         acc *= x
     return acc
-
-
-def _field_exponent(q):
-    p, f = split_prime_power(q)
-    return p, f
 
 
 @lru_cache(maxsize=None)
@@ -538,7 +575,7 @@ def classical_order(family: str, *args, primed: bool = False) -> int:
     _check_pp(q)
     if n < 0:
         raise IllegalParameters(f"negative dimension {n}")
-    p, f = _field_exponent(q)
+    _, f = split_prime_power(q)
     if name in ("SL", "PSL", "GL", "PGL", "SigmaL", "GammaL", "PGaL", "PSigmaL"):
         if n == 0:
             return 1
@@ -551,7 +588,7 @@ def classical_order(family: str, *args, primed: bool = False) -> int:
             return gl // (q - 1)
         if name == "PGaL":
             return f * gl // (q - 1)
-        sl = gl // (q - 1) if n >= 1 else 1
+        sl = gl // (q - 1)
         if name == "SL" or name == "SigmaL" or name == "PSigmaL":
             if primed and name == "SL":
                 if (n, q) == (2, 2):
@@ -592,14 +629,12 @@ def classical_order(family: str, *args, primed: bool = False) -> int:
             if (n, q) == (2, 3):
                 return sp // 3
         return sp
-    if name in ("OOdd", "GOOdd", "OmegaOdd", "GammaOOdd", "SOOdd", "Spin"):
+    if name in ("OOdd", "GOOdd", "OmegaOdd", "GammaOOdd", "Spin"):
         go = _go_odd_order(n, q)
         if name in ("OOdd", "GOOdd"):
             return go
         if name == "GammaOOdd":
             return f * go
-        if name == "SOOdd":
-            return go // math.gcd(2, q - 1)
         omega = go // math.gcd(2, q - 1) ** 2 if q % 2 else go
         if name == "Spin":
             return math.gcd(2, q - 1) * omega
@@ -710,11 +745,9 @@ def _pollard_rho(n: int) -> int:
     """A nontrivial factor of the composite n: Brent's variant, which takes
     one gcd per batch of steps and retraces a batch step by step when the
     batch's product hits n."""
-    import random as _random
-
     if n % 2 == 0:
         return 2
-    rng = _random.Random(n)
+    rng = random.Random(n)
     while True:
         c = rng.randrange(1, n)
         y = rng.randrange(2, n)
@@ -777,17 +810,12 @@ def ppd(a: int, k: int) -> frozenset:
     if (a, k) == (2, 6):
         return frozenset({7})
     n = a ** k - 1
+    # a prime dividing a^k - 1 and a^j - 1 (j < k) divides a^gcd(j,k) - 1,
+    # so stripping the proper divisors d of k strips every j
     for d in range(1, k):
         if k % d:
             continue
         g = math.gcd(n, a ** d - 1)
-        while g > 1:
-            n //= g
-            g = math.gcd(n, g)
-    # strip any remaining common factor with smaller a^j - 1 (j | k suffices,
-    # but keep the loop total for clarity of the contract)
-    for j in range(1, k):
-        g = math.gcd(n, a ** j - 1)
         while g > 1:
             n //= g
             g = math.gcd(n, g)

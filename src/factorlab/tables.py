@@ -1,20 +1,21 @@
 """The machine-readable database of classification-table rows: loader with a
 manifest check, constraint evaluation, and enumeration of admissible bindings
 (including the derived exponents c and d and their branch conventions).
+Shapes, constraints and parameter expressions are parsed once, at load, by
+the grammar of `shapes`; a field that cannot be read is named in the error.
 """
 
 from __future__ import annotations
 
-import ast
 import itertools
 import json
 import math
 import os
 from dataclasses import dataclass, field
 
-from .errors import ManifestMismatch, NonIntegralQuotient, UnboundSymbol
+from .errors import FactorLabError, ManifestMismatch, NonIntegralQuotient
 from .gf import is_prime_power
-from .shapes import order_of, parse_shape
+from .shapes import arith_eval, arith_symbols, order_of, parse_condition, parse_shape
 
 DEFAULT_ORDER_CAP = 10 ** 40
 
@@ -31,7 +32,9 @@ class FactorizationRecord:
     shapes: dict          # raw strings for G, H, K, int
     asts: dict            # parsed shapes
     params: list
-    where: list
+    where: list           # raw constraint strings
+    where_asts: tuple     # parsed constraints
+    expr_asts: tuple      # (param name, parsed expr) pairs
     derived: dict
     ref: str
     tier_b: dict | None
@@ -67,18 +70,11 @@ def load_db(path=None):
     records = []
     seen = set()
     for raw in doc["records"]:
-        rid = raw["id"]
-        if rid in seen:
-            raise ManifestMismatch(f"duplicate record id {rid}")
-        seen.add(rid)
-        asts = {k: parse_shape(s) for k, s in raw["shapes"].items()}
-        records.append(FactorizationRecord(
-            id=rid, table=raw["table"], row=raw["row"], sub=raw.get("sub"),
-            family=raw["family"], shapes=raw["shapes"], asts=asts,
-            params=raw.get("params", []), where=raw.get("where", []),
-            derived=raw.get("derived", {}), ref=raw.get("ref", ""),
-            tier_b=raw.get("tier_b"), remarks=raw.get("remarks", ""),
-        ))
+        rec = _parse_record(raw)
+        if rec.id in seen:
+            raise ManifestMismatch(f"duplicate record id {rec.id}")
+        seen.add(rec.id)
+        records.append(rec)
     man = doc.get("manifest", {})
     if man.get("records") != len(records):
         raise ManifestMismatch(
@@ -92,6 +88,44 @@ def load_db(path=None):
     return records
 
 
+def _parse_record(raw):
+    """One record, its shapes, constraints and parameter expressions parsed
+    once.  A field that does not parse, a constraint or expression over an
+    undeclared symbol, a param with no values and an unknown derived kind
+    each raise a FactorLabError that starts with the record id and field."""
+    rid, params, where = raw["id"], raw.get("params", []), raw.get("where", [])
+    derived = raw.get("derived", {})
+    names = {p.get("n") for p in params} | set(derived)
+
+    def parse(label, parser, text):
+        try:
+            node = parser(text)
+            unknown = arith_symbols(node) - names if parser is parse_condition else ()
+            if unknown:
+                raise FactorLabError(f"unknown symbol {min(unknown)!r}")
+            return node
+        except FactorLabError as e:
+            raise FactorLabError(f"{rid} {label}: {e}") from None
+
+    for i, p in enumerate(params):
+        if "n" not in p or not ("fixed" in p or p.get("pp") or "min" in p or "expr" in p):
+            raise FactorLabError(f"{rid} params[{i}]: needs n and one of fixed, pp, min or expr")
+    for name, kind in derived.items():
+        if kind not in DERIVED_DOC:
+            raise FactorLabError(f"{rid} derived.{name}: unknown derived kind {kind!r}")
+    return FactorizationRecord(
+        id=rid, table=raw["table"], row=raw["row"], sub=raw.get("sub"),
+        family=raw["family"], shapes=raw["shapes"],
+        asts={k: parse(f"shapes.{k}", parse_shape, s) for k, s in raw["shapes"].items()},
+        params=params, where=where,
+        where_asts=tuple(parse(f"where[{i}]", parse_condition, w) for i, w in enumerate(where)),
+        expr_asts=tuple((p["n"], parse(f"params[{i}].expr", parse_condition, p["expr"]))
+                        for i, p in enumerate(params) if "expr" in p),
+        derived=derived, ref=raw.get("ref", ""),
+        tier_b=raw.get("tier_b"), remarks=raw.get("remarks", ""),
+    )
+
+
 def export_db(path=None):
     with open(path or default_db_path()) as fh:
         return fh.read()
@@ -99,83 +133,16 @@ def export_db(path=None):
 
 # -- constraint evaluation ----------------------------------------------------
 
-_ALLOWED_CALLS = {"odd", "even", "gcd", "min", "max"}
 
-
-def eval_constraint(src: str, bindings: dict) -> bool:
-    """Evaluate a constraint string; division is exact (inexact => False)."""
+def eval_constraint(cond, bindings: dict) -> bool:
+    """Evaluate a constraint, parsed or as a string; division is exact and an
+    inexact division makes the whole constraint False."""
+    if isinstance(cond, str):
+        cond = parse_condition(cond)
     try:
-        tree = ast.parse(src.replace("^", "**"), mode="eval")
-        return bool(_c_eval(tree.body, bindings))
+        return bool(arith_eval(cond, bindings))
     except NonIntegralQuotient:
         return False
-
-
-def _c_eval(node, bnd):
-    if isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, bool)):
-            raise ValueError(f"bad constant {node.value!r}")
-        return node.value
-    if isinstance(node, ast.Name):
-        try:
-            return bnd[node.id]
-        except KeyError:
-            raise UnboundSymbol(node.id) from None
-    if isinstance(node, ast.BinOp):
-        l, r = _c_eval(node.left, bnd), _c_eval(node.right, bnd)
-        if isinstance(node.op, ast.Add):
-            return l + r
-        if isinstance(node.op, ast.Sub):
-            return l - r
-        if isinstance(node.op, ast.Mult):
-            return l * r
-        if isinstance(node.op, ast.Pow):
-            return l ** r
-        if isinstance(node.op, ast.Mod):
-            return l % r
-        if isinstance(node.op, ast.Div):
-            if r == 0 or l % r:
-                raise NonIntegralQuotient(f"{l}/{r}")
-            return l // r
-        raise ValueError(f"operator {node.op} not allowed")
-    if isinstance(node, ast.BoolOp):
-        if isinstance(node.op, ast.And):
-            return all(_c_eval(v, bnd) for v in node.values)
-        return any(_c_eval(v, bnd) for v in node.values)
-    if isinstance(node, ast.UnaryOp):
-        if isinstance(node.op, ast.Not):
-            return not _c_eval(node.operand, bnd)
-        if isinstance(node.op, ast.USub):
-            return -_c_eval(node.operand, bnd)
-        raise ValueError("unary operator not allowed")
-    if isinstance(node, ast.Compare):
-        left = _c_eval(node.left, bnd)
-        for op, rhs in zip(node.ops, node.comparators):
-            right = _c_eval(rhs, bnd)
-            ok = {
-                ast.Eq: left == right, ast.NotEq: left != right,
-                ast.Lt: left < right, ast.LtE: left <= right,
-                ast.Gt: left > right, ast.GtE: left >= right,
-            }[type(op)]
-            if not ok:
-                return False
-            left = right
-        return True
-    if isinstance(node, ast.Call):
-        if not isinstance(node.func, ast.Name) or node.func.id not in _ALLOWED_CALLS:
-            raise ValueError("call not allowed")
-        args = [_c_eval(a, bnd) for a in node.args]
-        name = node.func.id
-        if name == "odd":
-            return args[0] % 2 == 1
-        if name == "even":
-            return args[0] % 2 == 0
-        if name == "gcd":
-            return math.gcd(*args)
-        if name == "min":
-            return min(args)
-        return max(args)
-    raise ValueError(f"node {type(node).__name__} not allowed")
 
 
 # -- derived-symbol machinery --------------------------------------------------
@@ -258,7 +225,7 @@ def _sp_c_values(a, b, g=None, full_radical=True):
 def _derived_expansions(record, base):
     """List of dicts of derived symbols for one base binding.  A kind may
     carry an "_a6" suffix (a = 6 in place of the bound a) and a ":g" suffix
-    (the required gcd of I and b)."""
+    (the required gcd of I and b); load_db admits only DERIVED_DOC's kinds."""
     singles = {}
     c_lists = None
     for name, kind in record.derived.items():
@@ -273,14 +240,12 @@ def _derived_expansions(record, base):
             singles[name] = 2 if (a, b, q) == (1, 3, 2) else 2 * a * b - b
         elif kind == "two_part_b":
             singles[name] = two_part(base["b"])
-        elif stem == "unitary_cI" and not g:
+        elif stem == "unitary_cI":
             c_lists = _unitary_c_values(a, base["b"])
-        elif stem == "sp_cE_full_I" and not g:
+        elif stem == "sp_cE_full_I":
             c_lists = _sp_c_values(a, base["b"], full_radical=True)
-        elif stem in ("plus_cIE", "sp_cIE_prop") and g:
+        else:  # plus_cIE or sp_cIE_prop, with ":g"
             c_lists = _sp_c_values(a, base["b"], g=int(g), full_radical=False)
-        else:
-            raise ValueError(f"unknown derived kind {kind!r}")
     if c_lists is None:
         return [singles]
     return [{**singles, "c": c} for c in c_lists]
@@ -336,15 +301,13 @@ def iter_admissible_bindings(record, cap=DEFAULT_ORDER_CAP):
         cap = math.inf
     params = record.params
     g_shape = record.shape("G")
-    wheres = [(w, _constraint_symbols(w)) for w in record.where]
+    exprs = dict(record.expr_asts)
+    wheres = [(w, arith_symbols(w)) for w in record.where_asts]
 
     def complete_min(partial, start):
         filled = dict(partial)
         for p in params[start:]:
-            if "expr" in p:
-                filled[p["n"]] = _expr_value(p["expr"], filled)
-            else:
-                filled[p["n"]] = _min_value(p)
+            filled[p["n"]] = arith_eval(exprs[p["n"]], filled) if "expr" in p else _min_value(p)
         return filled
 
     def g_order(bnd):
@@ -356,7 +319,7 @@ def iter_admissible_bindings(record, cap=DEFAULT_ORDER_CAP):
             return
         p = params[i]
         if "expr" in p:
-            partial[p["n"]] = _expr_value(p["expr"], partial)
+            partial[p["n"]] = arith_eval(exprs[p["n"]], partial)
             yield from rec_enum(i + 1, partial)
             del partial[p["n"]]
             return
@@ -379,7 +342,7 @@ def iter_admissible_bindings(record, cap=DEFAULT_ORDER_CAP):
             return
         for extra in _derived_expansions(record, base):
             bnd = {**base, **extra}
-            if not all(eval_constraint(w, bnd) for w in record.where):
+            if not all(eval_constraint(w, bnd) for w in record.where_asts):
                 continue
             try:
                 orders = {
@@ -399,16 +362,3 @@ def iter_admissible_bindings(record, cap=DEFAULT_ORDER_CAP):
 
 def admissible_bindings(record, cap=DEFAULT_ORDER_CAP):
     return list(iter_admissible_bindings(record, cap))
-
-
-def _expr_value(expr, bnd):
-    tree = ast.parse(expr.replace("^", "**"), mode="eval")
-    return _c_eval(tree.body, bnd)
-
-
-def _constraint_symbols(src):
-    tree = ast.parse(src.replace("^", "**"), mode="eval")
-    return {
-        n.id for n in ast.walk(tree)
-        if isinstance(n, ast.Name) and n.id not in _ALLOWED_CALLS
-    }

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from factorlab import cli
 from factorlab.construct import (
     blowup_elem,
@@ -185,6 +187,30 @@ def test_bad_cap_is_a_one_line_usage_error(capsys):
         assert code == 2, bad
         assert out == ""
         assert err.count("\n") == 1 and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("rid, path, value", [
+    ("T1.1b", ("where", 0), "a*b >= "),
+    ("T1.1b", ("where", 0), "foo(a) > 1"),
+    ("T1.1b", ("where", 0), "a.b > 1"),
+    ("T8.3", ("params", 2, "expr"), "2^"),
+    ("T1.1b", ("derived", "c"), "no_such_kind"),
+    ("T1.1b", ("params", 1), {"n": "b"}),
+])
+def test_bad_database_record_is_a_one_line_usage_error(capsys, tmp_path, rid, path, value):
+    from factorlab.tables import default_db_path
+
+    doc = json.load(open(default_db_path()))
+    field = next(r for r in doc["records"] if r["id"] == rid)
+    for key in path[:-1]:
+        field = field[key]
+    field[path[-1]] = value
+    db = tmp_path / "db.json"
+    db.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "sweep", "--tier", "a", "--db", str(db))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {rid} "), err
 
 
 def test_malformed_genfile_is_a_one_line_usage_error(capsys, tmp_path):

@@ -1,9 +1,11 @@
 """The JSON reports of `sweep --tier b` at seeds 0 and 1 and of
 `check-triple` on the Sp_6(3) = Sp_2(27) . P_1 triple at seed 0 are
-byte-identical to the copies under tests/data/.  A faster path must not
+byte-identical to the copies under tests/data/, and the `sweep --tier a`
+report hashes to the sha256 digest kept there.  A faster path must not
 change what is certified; these files pin it on every run.
 `tools/write_golden.py` writes the copies with the calls in GOLDEN."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -16,6 +18,15 @@ DATA = Path(__file__).parent / "data"
 def sweep_tier_b(out, workdir, seed):
     argv = ["sweep", "--tier", "b", "--seed", str(seed), "--format", "json", "--out", str(out)]
     return cli.main(argv)
+
+
+def sweep_tier_a_digest(out, workdir, seed):
+    """The sha256 hex digest of the TIER-A JSON report (about 1 MB)."""
+    report = workdir / "tier_a.json"
+    argv = ["sweep", "--tier", "a", "--seed", str(seed), "--format", "json", "--out", str(report)]
+    code = cli.main(argv)
+    out.write_text(hashlib.sha256(report.read_bytes()).hexdigest() + "\n")
+    return code
 
 
 def check_triple(out, workdir, seed):
@@ -36,6 +47,7 @@ GOLDEN = {
     "sweep_tier_b_seed0.json": (sweep_tier_b, 0),
     "sweep_tier_b_seed1.json": (sweep_tier_b, 1),
     "check_triple_sp6q3_seed0.json": (check_triple, 0),
+    "sweep_tier_a_seed0.sha256": (sweep_tier_a_digest, 0),
 }
 
 
@@ -56,3 +68,7 @@ def test_tier_b_sweep_seed1_report_is_unchanged(tmp_path):
 
 def test_check_triple_report_is_unchanged(tmp_path):
     _assert_unchanged("check_triple_sp6q3_seed0.json", tmp_path)
+
+
+def test_tier_a_sweep_report_is_unchanged(tmp_path):
+    _assert_unchanged("sweep_tier_a_seed0.sha256", tmp_path)

@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from factorlab.errors import ManifestMismatch
-from factorlab.shapes import order_of, parse_shape, print_shape
+from factorlab.errors import FactorLabError, ManifestMismatch, ShapeSyntaxError
+from factorlab.shapes import order_of, parse_condition, parse_shape, print_shape
 from factorlab.tables import (
     admissible_bindings,
     eval_constraint,
@@ -58,6 +58,59 @@ def test_constraint_evaluator():
     assert eval_constraint("not (a*b == 2 and q == 2)", {"a": 1, "b": 2, "q": 4})
     assert eval_constraint("q^(c+1) % 4 == 0", {"q": 2, "c": 5})
     assert two_part(24) == 8
+
+
+# every construct the constraint grammar reads, at one binding each
+@pytest.mark.parametrize("constraint, bindings, expected", [
+    ("a == 2", {"a": 2}, True),
+    ("a != 2", {"a": 2}, False),
+    ("a < 2", {"a": 2}, False),
+    ("a <= 2", {"a": 2}, True),
+    ("a > 1", {"a": 2}, True),
+    ("a >= 3", {"a": 2}, False),
+    ("1 < a <= 3 < b", {"a": 2, "b": 4}, True),
+    ("1 < a < 2", {"a": 2}, False),
+    ("b == 1 or odd(m/2)", {"b": 1, "m": 7}, True),  # or stops before m/2
+    ("b == 2 and odd(m/2)", {"b": 1, "m": 7}, False),  # and stops before m/2
+    ("-2^2 == -4", {}, True),
+    ("2^-1 == 0", {}, False),  # a negative exponent is not an integer
+    ("not a == 3", {"a": 2}, True),
+    ("odd(a)", {"a": 3}, True),
+    ("even(a)", {"a": 3}, False),
+    ("gcd(a, 6) == 2", {"a": 4}, True),
+    ("min(a, b) == 2", {"a": 2, "b": 5}, True),
+    ("max(a, b) == 5", {"a": 2, "b": 5}, True),
+    ("(a*b >= 3) or (q >= 4)", {"a": 1, "b": 2, "q": 4}, True),
+    ("q^(c+1) % 4 == 0", {"q": 2, "c": 0}, False),
+    ("odd(m/2)", {"m": 7}, False),  # inexact division makes it False
+    ("f*m/2 >= 3 ", {"f": 1, "m": 5}, False),
+])
+def test_constraint_grammar(constraint, bindings, expected):
+    assert eval_constraint(parse_condition(constraint), bindings) is expected
+    assert eval_constraint(constraint, bindings) is expected
+
+
+def test_grammar_rejects_what_it_does_not_read(tmp_path):
+    with pytest.raises(ShapeSyntaxError):
+        parse_condition("a ** 2 > 1")
+    with pytest.raises(ShapeSyntaxError):
+        parse_condition("a = 2")
+    with pytest.raises(ShapeSyntaxError):
+        parse_condition("max(a, b, 7) == 7")
+    # the shape grammar reads no comparison, and allows trailing whitespace
+    with pytest.raises(ShapeSyntaxError):
+        parse_shape("SL(a==b,q)")
+    assert parse_shape("SL(2,q) ") == parse_shape("SL(2,q)")
+    # True parses as a symbol, which no record declares
+    from factorlab.tables import default_db_path
+
+    doc = json.load(open(default_db_path()))
+    for spelling in ("True", "a ** 2 > 1"):
+        next(r for r in doc["records"] if r["id"] == "T1.1b")["where"] = [spelling]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(FactorLabError, match=r"^T1\.1b where\[0\]: "):
+            load_db(str(bad))
 
 
 def test_admissible_bindings_unitary_row2(records):

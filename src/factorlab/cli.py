@@ -26,25 +26,39 @@ from .verify import (
 )
 
 
-def _add_common(p):
-    p.add_argument("--table", type=int, help="restrict to one table")
-    p.add_argument("--row", type=int, help="restrict to one row")
-    p.add_argument("--sub", help="restrict to one sub-row (a, b, ...)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--db", help="path of the tables DB (default: bundled)")
-
-
-def _add_caps(p):
-    p.add_argument("--max-order", default=DEFAULT_CAPS["max_order"],
-                   help="TIER-A cap on |G0| (default 1e40)")
-    p.add_argument("--max-group", default=DEFAULT_CAPS["max_group"],
-                   help="BSGS order cap for TIER-B (default 1e9)")
-    p.add_argument("--max-domain", default=DEFAULT_CAPS["max_domain"],
-                   help="size cap on a TIER-B domain")
-    p.add_argument("--max-enum", default=DEFAULT_CAPS["max_enum"],
-                   help="cap on the elements enumerated by enumerate-and-sift")
+_OPTIONS = {
+    "--table": dict(type=int, help="restrict to one table"),
+    "--row": dict(type=int, help="restrict to one row"),
+    "--sub": dict(help="restrict to one sub-row (a, b, ...)"),
+    "--db": dict(help="path of the tables DB (default: bundled)"),
+    "--seed": dict(type=int, default=0),
+    "--format": dict(choices=["text", "json"], default="text"),
+    "--out": dict(help="write the report here instead of stdout"),
+    "--max-order": dict(default=DEFAULT_CAPS["max_order"],
+                        help="TIER-A cap on |G0| (default 1e40)"),
+    "--max-group": dict(default=DEFAULT_CAPS["max_group"],
+                        help="BSGS order cap for TIER-B (default 1e9)"),
+    "--max-domain": dict(default=DEFAULT_CAPS["max_domain"],
+                         help="size cap on a permutation domain"),
+    "--max-enum": dict(default=DEFAULT_CAPS["max_enum"],
+                       help="cap on the elements enumerated by enumerate-and-sift"),
+    "--bind": dict(action="append", default=[], metavar="SYM=VAL"),
+}
+_SELECT = ("--table", "--row", "--sub", "--db")
+_RUN = ("--seed", "--format", "--out")
+_CAPS = ("--max-order", "--max-group", "--max-domain", "--max-enum")
+# each command: its help, and the arguments it reads (an option no command
+# reads would be a cap or a filter that silently means nothing)
+_COMMANDS = {
+    "list": ("list the table rows in the database", (*_SELECT, "--out")),
+    "show": ("print one row: shapes, constraints, reference", (*_SELECT, "--out")),
+    "verify": ("verify one row at given bindings", (*_SELECT, *_RUN, *_CAPS, "--bind")),
+    "sweep": ("verify every admissible binding of the rows", (*_SELECT, *_RUN, *_CAPS)),
+    "export-db": ("dump the bundled database", ("--out", "--db")),
+    "check-triple": ("check G = HK for generator files",
+                     ("genfileG", "genfileH", "genfileK", *_RUN, "--max-domain", "--max-enum")),
+}
+_TIERS = {"verify": ["a", "b"], "sweep": ["a", "b", "both"]}
 
 
 def parse_cap(text):
@@ -62,12 +76,8 @@ def parse_cap(text):
 
 
 def _caps_from(args):
-    return {
-        "max_order": parse_cap(args.max_order),
-        "max_group": parse_cap(args.max_group),
-        "max_domain": parse_cap(args.max_domain),
-        "max_enum": parse_cap(args.max_enum),
-    }
+    """The caps the command has options for, parsed."""
+    return {k: parse_cap(v) for k, v in vars(args).items() if k in DEFAULT_CAPS}
 
 
 def build_parser():
@@ -76,33 +86,12 @@ def build_parser():
         description="verify factorizations G = HK of finite classical groups",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("list", help="list the table rows in the database")
-    _add_common(p)
-
-    p = sub.add_parser("show", help="print one row: shapes, constraints, reference")
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="verify one row at given bindings")
-    _add_common(p)
-    _add_caps(p)
-    p.add_argument("--bind", action="append", default=[], metavar="SYM=VAL")
-    p.add_argument("--tier", choices=["a", "b"], default="a")
-
-    p = sub.add_parser("sweep", help="verify every admissible binding of the rows")
-    _add_common(p)
-    _add_caps(p)
-    p.add_argument("--tier", choices=["a", "b", "both"], default="a")
-
-    p = sub.add_parser("export-db", help="dump the bundled database")
-    _add_common(p)
-
-    p = sub.add_parser("check-triple", help="check G = HK for generator files")
-    p.add_argument("genfileG")
-    p.add_argument("genfileH")
-    p.add_argument("genfileK")
-    _add_common(p)
-    _add_caps(p)
+    for name, (text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for arg in arguments:
+            p.add_argument(arg, **_OPTIONS.get(arg, {}))
+        if name in _TIERS:
+            p.add_argument("--tier", choices=_TIERS[name], default="a")
     return ap
 
 

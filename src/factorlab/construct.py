@@ -28,17 +28,19 @@ from .errors import (
 )
 from .gf import FieldSpec, find_irreducible_mu, find_mu_norm_minus_one
 from .linalg import (
+    FormSpec,
     GroupElem,
     MatF,
     SpaceFrame,
     in_omega,
     is_isometry,
     is_square,
-    quadratic_change_of_basis,
     reflection,
     row_reduce,
-    symplectic_change_of_basis,
+    standard_basis,
+    unit_vector,
     vec_add,
+    vec_frob,
     vec_mat,
     vec_scale,
 )
@@ -82,15 +84,11 @@ def rebase(gens, P: MatF, P_inv: MatF = None) -> list:
     return [GroupElem(P.frob(g.frob).mul(g.mat).mul(P_inv), g.frob) for g in gens]
 
 
-def _unit(n, i):
-    return tuple(1 if j == i else 0 for j in range(n))
-
-
 def _elem(F, n, entries=(), blocks=()):
     """The identity of GL(n, F) with the matrix B of each (row, col, B) in
     blocks placed with its top left corner at (row, col), then each entry
     (row, col, x) set."""
-    rows = [list(_unit(n, r)) for r in range(n)]
+    rows = [list(unit_vector(n, r)) for r in range(n)]
     for r, c, B in blocks:
         for i, brow in enumerate(B.rows):
             rows[r + i][c:c + len(brow)] = brow
@@ -131,7 +129,7 @@ def _chain_directions(n, pool, width):
     """Directions along the chain b_1, ..., b_n of the frame's basis: every
     b_i, and b_i + ... + b_(i+k-2) + c b_(i+k-1) for 2 <= k <= width and c
     in pool, so each direction has consecutive support of length <= width."""
-    out = [_unit(n, i) for i in range(n)]
+    out = [unit_vector(n, i) for i in range(n)]
     for k in range(2, width + 1):
         for i in range(n - k + 1):
             for c in pool:
@@ -420,7 +418,7 @@ def su_in_omega(m: int, q: int, sign: str) -> GroupPresentationSpec:
         v = unblow_vector(ext, sub, v_big)
         return ext.restrict(hermitian.bilinear(v, v), sub)
 
-    P, found = quadratic_change_of_basis(sub, qfun, n, target_mu=frame_std.mu)
+    P, found = standard_basis(sub, n, qfun, target_mu=frame_std.mu)
     if found != sign:
         raise SignParityMismatch(f"blow-up produced type {found}, wanted {sign}")
     gens = rebase(big, P)
@@ -435,7 +433,8 @@ def ext_field_subgroup(ambient: str, a: int, b: int, q: int, sign: str = None):
 
     'Sp':    Sp_2a(q^b) <= Sp_2ab(q), beta = Tr o beta_(b).
     'Omega': Omega_2a^sign(q^b) <= Omega_2ab^eps(q), Q = Tr o Q_(b)^sign.
-    Returns (spec, inner_presentation).
+    Returns (spec, inner, lift): the embedded group, the group over GF(q^b)
+    and the map that blows up a further element of it.
     """
     sub = FieldSpec.get(q)
     ext = sub.extend(b)
@@ -444,12 +443,12 @@ def ext_field_subgroup(ambient: str, a: int, b: int, q: int, sign: str = None):
         inner = gens_classical("Sp", 2 * a, ext.q)
         big = [blowup_elem(g, sub) for g in inner.gens]
         bil_ext = inner.frame.form.bilinear
-        unb = [unblow_vector(ext, sub, _unit(n, i)) for i in range(n)]
+        unb = [unblow_vector(ext, sub, unit_vector(n, i)) for i in range(n)]
         gram = MatF(
             sub,
             [[ext.trace_to(bil_ext(unb[i], unb[j]), sub) for j in range(n)] for i in range(n)],
         )
-        P = symplectic_change_of_basis(sub, gram)
+        P, _ = standard_basis(sub, n, lambda v: 0, FormSpec("alternating", gram).bilinear)
         frame = SpaceFrame.symplectic(sub, n // 2)
         kind, name = "SpExtField", f"Sp({2*a},{ext.q})<Sp({n},{q})"
     elif ambient == "Omega":
@@ -463,7 +462,7 @@ def ext_field_subgroup(ambient: str, a: int, b: int, q: int, sign: str = None):
         def qfun(v_big):
             return ext.trace_to(qf_ext(unblow_vector(ext, sub, v_big)), sub)
 
-        P, found = quadratic_change_of_basis(sub, qfun, n, target_mu=frame_minus.mu)
+        P, found = standard_basis(sub, n, qfun, target_mu=frame_minus.mu)
         frame = frame_minus if found == "-" else SpaceFrame.quadratic(sub, n, "+")
         kind, name = "OmegaExtField", f"Omega{sign}({2*a},{ext.q})<Omega{found}({n},{q})"
     else:
@@ -591,13 +590,12 @@ def twisted_frobenius(frame: SpaceFrame, j: int = 1) -> GroupElem:
         return plain
     if frame.form.kind != "quadratic":
         raise UnsupportedParameters("twisted Frobenius only implemented for quadratic frames")
-    from .linalg import vec_frob
 
     def r_form(u):
         pre = vec_frob(F, u, -j)
         return F.frobenius(frame.form.quadratic(pre), j)
 
-    CB, sign = quadratic_change_of_basis(F, r_form, frame.n, target_mu=frame.mu)
+    CB, sign = standard_basis(F, frame.n, r_form, target_mu=frame.mu)
     if sign != frame.form.sign:
         raise VerificationFailed("twisted form changed type (impossible)")
     g = GroupElem(CB.inv(), j)

@@ -1,5 +1,7 @@
 """Matrices and semilinear maps over a FieldSpec; bilinear/quadratic/hermitian
-forms; standard frames; isometry and Omega-membership tests; reflections.
+forms; standard frames; isometry and Omega-membership tests; reflections; and
+one Witt decomposition, `standard_basis`, which finds a frame's standard basis
+for an alternating or quadratic form written in other coordinates.
 
 All linear algebra goes through one Gauss-Jordan routine, `row_reduce`:
 inverse, determinant, independent subsets, and Omega membership, which reads
@@ -10,6 +12,8 @@ Vectors are row vectors acted on the right: v |-> (v^(phi^j)) * M.
 """
 
 from __future__ import annotations
+
+from itertools import combinations, product
 
 from .errors import (
     DecompositionFailure,
@@ -36,7 +40,7 @@ class MatF:
 
     @classmethod
     def identity(cls, owner, n):
-        return cls(owner, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls(owner, tuple(unit_vector(n, i) for i in range(n)))
 
     def __eq__(self, other):
         return (
@@ -74,18 +78,14 @@ class MatF:
     def transpose(self) -> "MatF":
         return MatF(self.owner, tuple(zip(*self.rows)))
 
-    def map_entries(self, fn) -> "MatF":
-        return MatF(self.owner, tuple(tuple(fn(x) for x in row) for row in self.rows))
-
     def frob(self, j: int) -> "MatF":
         if j % self.owner.f == 0:
             return self
-        F = self.owner
-        return self.map_entries(lambda x: F.frobenius(x, j))
+        return MatF(self.owner, tuple(vec_frob(self.owner, row, j) for row in self.rows))
 
     def inv(self) -> "MatF":
         n = self.n
-        aug = [[*row, *(1 if i == j else 0 for j in range(n))] for i, row in enumerate(self.rows)]
+        aug = [[*row, *unit_vector(n, i)] for i, row in enumerate(self.rows)]
         rows = row_reduce(self.owner, aug)[0]
         if any(c >= n for c in rows):
             raise DimensionMismatch("matrix is singular")
@@ -138,6 +138,11 @@ def row_reduce(F: FieldSpec, vectors):
         rows[piv] = red
         kept.append(idx)
     return rows, kept, det
+
+
+def unit_vector(n: int, i: int):
+    """The i-th standard basis vector of length n."""
+    return tuple(1 if j == i else 0 for j in range(n))
 
 
 def vec_frob(F: FieldSpec, v, j: int):
@@ -321,7 +326,7 @@ class SpaceFrame:
         self.mu = mu
 
     def basis(self, i):
-        return tuple(1 if j == i else 0 for j in range(self.n))
+        return unit_vector(self.n, i)
 
     @classmethod
     def symplectic(cls, field: FieldSpec, m: int) -> "SpaceFrame":
@@ -387,7 +392,7 @@ def is_isometry(g: GroupElem, form: FormSpec) -> bool:
     if g.n != n:
         raise DimensionMismatch("element and form dimensions differ")
     j = g.frob
-    basis = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+    basis = [unit_vector(n, i) for i in range(n)]
     images = [g.act(b) for b in basis]
     for i in range(n):
         for k in range(i, n):
@@ -477,115 +482,75 @@ def in_omega(g, frame: SpaceFrame) -> bool:
     return spinor_norm_class(mat, frame) == "square"
 
 
-# -- form standardization (used when embedding blown-up subgroups) ---------
+# -- Witt decomposition (standard bases for blown-up and twisted forms) -----
 
-def symplectic_change_of_basis(field: FieldSpec, gram: MatF) -> MatF:
-    """P whose rows are a standard symplectic basis for the alternating gram."""
-    n = gram.n
-    basis = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+def standard_basis(field: FieldSpec, n: int, qfun, bil=None, target_mu=None):
+    """Split off hyperbolic pairs, then normalize the tail (the Witt
+    decomposition; Taylor, The Geometry of the Classical Groups, 1992, ch. 7
+    and 11).  Returns (P, sign), the rows of P a standard basis of the frame
+    conventions of SpaceFrame.
 
-    def bil(u, v):
-        acc = 0
-        for i, a in enumerate(u):
-            if a:
-                row = gram.rows[i]
-                for j, b in enumerate(v):
-                    if b and row[j]:
-                        acc = field.add(acc, field.mul(a, field.mul(row[j], b)))
-        return acc
-
-    pool = list(basis)
-    new_basis = []
-    while pool:
-        v = pool.pop(0)
-        w = next((u for u in pool if bil(v, u) != 0), None)
-        if w is None:
-            raise DecompositionFailure("degenerate alternating form")
-        pool.remove(w)
-        w = vec_scale(field, field.inv(bil(v, w)), w)
-        new_basis.extend([v, w])
-        reduced = []
-        for u in pool:
-            u1 = vec_add(field, u, vec_scale(field, field.neg(bil(u, w)), v))
-            u1 = vec_add(field, u1, vec_scale(field, bil(u1, v), w))
-            if any(u1):
-                reduced.append(u1)
-        pool = reduced
-    if len(new_basis) != n:
-        raise DecompositionFailure("alternating form is degenerate")
-    return MatF(field, new_basis)
-
-
-def quadratic_change_of_basis(field: FieldSpec, qfun, n: int, target_mu=None):
-    """Split off hyperbolic planes; return (P, sign) with rows a standard basis.
-
-    qfun maps a length-n vector to its form value.  For even n the sign is
-    '+' or '-'; a minus-type tail is normalized to Q(e_m)=1, Q(f_m)=target_mu.
+    qfun maps a length-n vector to its quadratic form value, and bil, by
+    default the polarization of qfun, is the bilinear form.  An alternating
+    form is qfun = lambda v: 0 with bil its bilinear form.  The sign is '+'
+    or '-' for even n and 'odd' for odd n; a minus-type tail is normalized
+    to Q(e_m) = 1, Q(f_m) = target_mu, and an odd tail d to Q(d) = 1.
     """
-
-    def bil(u, v):
-        return field.sub(
-            field.sub(qfun(vec_add(field, u, v)), qfun(u)), qfun(v)
-        )
+    if bil is None:
+        def bil(u, v):
+            return field.sub(field.sub(qfun(vec_add(field, u, v)), qfun(u)), qfun(v))
 
     def hyperbolic_partner(pool, v):
         w = next((u for u in pool if bil(v, u) != 0), None)
         if w is None:
-            raise DecompositionFailure("degenerate quadratic form")
+            raise DecompositionFailure("degenerate form")
         w = vec_scale(field, field.inv(bil(v, w)), w)
         return vec_add(field, w, vec_scale(field, field.neg(qfun(w)), v))
 
     def reduce_off(pool, v, w):
+        # u - bil(u,w) v - bil(u,v) bil(w,v)^-1 w, with bil(v,w) = 1 and
+        # bil(w,v) = 1 (symmetric) or -1 (alternating)
+        c = field.neg(field.inv(bil(w, v)))
         out = []
         for u in pool:
             u1 = vec_add(field, u, vec_scale(field, field.neg(bil(u, w)), v))
-            u1 = vec_add(field, u1, vec_scale(field, field.neg(bil(u1, v)), w))
+            u1 = vec_add(field, u1, vec_scale(field, field.mul(c, bil(u, v)), w))
             if any(u1):
                 out.append(u1)
         return [out[i] for i in row_reduce(field, out)[1]]
 
-    pool = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    pool = [unit_vector(n, i) for i in range(n)]
     new_basis = []
-    while len(pool) > 2:
-        v = _find_singular(field, qfun, bil, pool)
+    while len(pool) > 1:
+        v = _find_singular(field, qfun, pool)
         if v is None:
-            raise DecompositionFailure("no singular vector in dimension > 2")
-        w = hyperbolic_partner(pool, v)
-        new_basis.extend([v, w])
-        pool = reduce_off(pool, v, w)
-    if len(pool) == 1:
-        d = pool[0]
-        s = qfun(d)
-        if s == 0:
-            raise DecompositionFailure("degenerate tail")
-        c = _sqrt_or_none(field, field.inv(s))
-        if c is None:
-            raise DecompositionFailure("odd-dimensional tail needs rescaling")
-        new_basis.append(vec_scale(field, c, d))
-        return MatF(field, new_basis), "odd"
-    if len(pool) == 2:
-        v = _find_singular(field, qfun, bil, pool)
-        if v is None:
-            em, fm = _anisotropic_pair(field, qfun, bil, pool, target_mu)
-            new_basis.extend([em, fm])
+            if len(pool) > 2:
+                raise DecompositionFailure("no singular vector in dimension > 2")
+            new_basis.extend(_anisotropic_pair(field, qfun, bil, pool, target_mu))
             return MatF(field, new_basis), "-"
         w = hyperbolic_partner(pool, v)
         new_basis.extend([v, w])
-        return MatF(field, new_basis), "+"
+        pool = reduce_off(pool, v, w)
     if not pool:
         return MatF(field, new_basis), "+"
-    raise DecompositionFailure("unexpected tail dimension")
+    s = qfun(pool[0])
+    c = _sqrt_or_none(field, field.inv(s)) if s else None
+    if c is None:
+        raise DecompositionFailure("odd-dimensional tail is degenerate or needs rescaling")
+    new_basis.append(vec_scale(field, c, pool[0]))
+    return MatF(field, new_basis), "odd"
 
 
-def _find_singular(field, qfun, bil, pool):
-    """A nonzero singular vector in the span of pool, or None (span
-    anisotropic); bil is the polarization of qfun."""
-    from itertools import combinations
-
+def _find_singular(field, qfun, pool):
+    """A nonzero singular vector in the span of pool, or None when that span
+    is an anisotropic line or plane.  The pool vectors come first, then the
+    vectors a + c b of each pool plane; past those, a + y b + z c over the
+    first three pool vectors finds one, since a quadratic form in three
+    variables over a finite field has a nontrivial zero (Chevalley-Warning)
+    and the zeros with no a-part lie in the anisotropic plane <b, c>."""
     for u in pool:
         if qfun(u) == 0:
             return u
-    # scan every coordinate plane
     for a, b in combinations(pool, 2):
         for c in field.elements():
             if c:
@@ -594,56 +559,27 @@ def _find_singular(field, qfun, bil, pool):
                     return v
     if len(pool) < 3:
         return None
-    # every pool plane is anisotropic; take one, project a third vector onto
-    # its perp, and solve Q(z + y) = 0 with z in the plane (Q is surjective
-    # on an anisotropic plane, so this always succeeds)
-    for a, b in combinations(pool, 2):
-        baa, bab, bbb = bil(a, a), bil(a, b), bil(b, b)
-        det = field.sub(field.mul(baa, bbb), field.mul(bab, bab))
-        if det == 0:
-            continue
-        dinv = field.inv(det)
-        for u in pool:
-            if u is a or u is b:
-                continue
-            bua, bub = bil(u, a), bil(u, b)
-            alpha = field.mul(dinv, field.sub(field.mul(bbb, bua), field.mul(bab, bub)))
-            beta = field.mul(dinv, field.sub(field.mul(baa, bub), field.mul(bab, bua)))
-            y = vec_add(field, u, vec_scale(field, field.neg(alpha), a))
-            y = vec_add(field, y, vec_scale(field, field.neg(beta), b))
-            if not any(y):
-                continue
-            for ca in field.elements():
-                for cb in field.elements():
-                    z = vec_add(field, vec_scale(field, ca, a), vec_scale(field, cb, b))
-                    v = vec_add(field, z, y)
-                    if qfun(v) == 0:
-                        return v
+    a, b, c = pool[:3]
+    for y, z in product(field.elements(), repeat=2):
+        v = vec_add(field, a, vec_add(field, vec_scale(field, y, b), vec_scale(field, z, c)))
+        if qfun(v) == 0:
+            return v
     return None
 
 
 def _sqrt_or_none(field, x):
-    for c in field.elements():
-        if field.mul(c, c) == x:
-            return c
-    return None
+    return next((c for c in field.elements() if field.mul(c, c) == x), None)
 
 
 def _anisotropic_pair(field, qfun, bil, pool, target_mu):
+    """(e, f) in the anisotropic plane spanned by pool with Q(e) = 1,
+    bil(e, f) = 1 and Q(f) = target_mu."""
     u0, u1 = pool
-    q = field.q
-    for a in range(q):
-        for b in range(q):
-            if a == 0 and b == 0:
-                continue
-            em = vec_add(field, vec_scale(field, a, u0), vec_scale(field, b, u1))
-            if qfun(em) != 1:
-                continue
-            for c in range(q):
-                for d in range(q):
-                    if c == 0 and d == 0:
-                        continue
-                    fm = vec_add(field, vec_scale(field, c, u0), vec_scale(field, d, u1))
-                    if bil(em, fm) == 1 and qfun(fm) == target_mu:
-                        return em, fm
+    plane = [vec_add(field, vec_scale(field, a, u0), vec_scale(field, b, u1))
+             for a, b in product(field.elements(), repeat=2)]
+    for em in plane:
+        if qfun(em) == 1:
+            for fm in plane:
+                if bil(em, fm) == 1 and qfun(fm) == target_mu:
+                    return em, fm
     raise DecompositionFailure("cannot normalize anisotropic plane")

@@ -227,6 +227,11 @@ def _tokenize(s):
     return tokens
 
 
+def _shown(t):
+    """A token as a parse error names it."""
+    return "end of input" if t[0] == "eof" else repr(t[1])
+
+
 class _Parser:
     def __init__(self, s, condition=False):
         self.src = s
@@ -246,7 +251,7 @@ class _Parser:
         t = self.next()
         if t[0] != kind or (value is not None and t[1] != value):
             raise ShapeSyntaxError(
-                f"expected {value or kind}, found {t[1]!r}", t[2], (value or kind,)
+                f"expected {value or kind}, found {_shown(t)}", t[2], (value or kind,)
             )
         return t
 
@@ -254,7 +259,7 @@ class _Parser:
         node = rule(self)
         t = self.peek()
         if t[0] != "eof":
-            raise ShapeSyntaxError(f"trailing input {t[1]!r}", t[2])
+            raise ShapeSyntaxError(f"trailing input {_shown(t)}", t[2])
         return node
 
     # conditions -----------------------------------------------------------
@@ -345,7 +350,7 @@ class _Parser:
             node = self.inner()
             self.expect("sym", ")")
             return node
-        raise ShapeSyntaxError(f"expected arithmetic, found {t[1]!r}", t[2], ("int", "var", "("))
+        raise ShapeSyntaxError(f"expected arithmetic, found {_shown(t)}", t[2], ("int", "var", "("))
 
     # shapes ---------------------------------------------------------------
 
@@ -417,7 +422,7 @@ class _Parser:
             node = self.expr()
             self.expect("sym", ")")
             return Group(node)
-        raise ShapeSyntaxError(f"unexpected token {t[1]!r}", t[2])
+        raise ShapeSyntaxError(f"unexpected {_shown(t)}", t[2])
 
     def expo(self):
         t = self.peek()
@@ -432,7 +437,7 @@ class _Parser:
             node = self.arith()
             self.expect("sym", ")")
             return node
-        raise ShapeSyntaxError(f"bad exponent at {t[1]!r}", t[2], ("int", "var", "("))
+        raise ShapeSyntaxError(f"bad exponent at {_shown(t)}", t[2], ("int", "var", "("))
 
 
 def parse_shape(s: str) -> Quot:

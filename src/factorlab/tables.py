@@ -88,14 +88,51 @@ def load_db(path=None):
     return records
 
 
+_JSON_TYPES = {int: "an integer", str: "a string", bool: "a boolean", list: "an array",
+               dict: "an object"}
+_PARAM_TYPES = {"min": int, "fixed": int, "pp": bool, "even": bool, "odd": bool, "expr": str}
+
+
 def _parse_record(raw):
-    """One record, its shapes, constraints and parameter expressions parsed
-    once.  A field that does not parse, a constraint or expression over an
-    undeclared symbol, a param with no values and an unknown derived kind
+    """One record, checked against docs/tables_db.schema.json, its shapes,
+    constraints and parameter expressions parsed once.  A field of the wrong
+    JSON type, a field that does not parse, a constraint or expression over
+    an undeclared symbol, a param with no values and an unknown derived kind
     each raise a FactorLabError that starts with the record id and field."""
-    rid, params, where = raw["id"], raw.get("params", []), raw.get("where", [])
-    derived = raw.get("derived", {})
-    names = {p.get("n") for p in params} | set(derived)
+    rid = raw.get("id") if type(raw) is dict else None
+    if type(rid) is not str:
+        raise FactorLabError(f"record {rid!r}: needs a string id")
+
+    def check(label, value, kind, optional=False):
+        # json.load gives exact types, and true is not an integer
+        if type(value) is not kind and not (optional and value is None):
+            raise FactorLabError(f"{rid} {label}: needs {_JSON_TYPES[kind]}")
+        return value
+
+    for key, kind in (("table", int), ("row", int), ("family", str)):
+        check(key, raw.get(key), kind)
+    shapes = check("shapes", raw.get("shapes"), dict)
+    for key in ("G", "H", "K", "int", *shapes):
+        check(f"shapes.{key}", shapes.get(key), str)
+    params = check("params", raw.get("params", []), list)
+    where = check("where", raw.get("where", []), list)
+    derived = check("derived", raw.get("derived", {}), dict)
+    for key, kind in (("sub", str), ("ref", str), ("remarks", str), ("tier_b", dict)):
+        check(key, raw.get(key), kind, optional=True)
+    for i, p in enumerate(params):
+        check(f"params[{i}]", p, dict)
+        check(f"params[{i}].n", p.get("n"), str)
+        for key, value in p.items():
+            if key in _PARAM_TYPES:
+                check(f"params[{i}].{key}", value, _PARAM_TYPES[key])
+        if not ("fixed" in p or p.get("pp") or "min" in p or "expr" in p):
+            raise FactorLabError(f"{rid} params[{i}]: needs one of fixed, pp, min or expr")
+    for i, w in enumerate(where):
+        check(f"where[{i}]", w, str)
+    for name, kind in derived.items():
+        if check(f"derived.{name}", kind, str) not in DERIVED_DOC:
+            raise FactorLabError(f"{rid} derived.{name}: unknown derived kind {kind!r}")
+    names = {p["n"] for p in params} | set(derived)
 
     def parse(label, parser, text):
         try:
@@ -107,16 +144,10 @@ def _parse_record(raw):
         except FactorLabError as e:
             raise FactorLabError(f"{rid} {label}: {e}") from None
 
-    for i, p in enumerate(params):
-        if "n" not in p or not ("fixed" in p or p.get("pp") or "min" in p or "expr" in p):
-            raise FactorLabError(f"{rid} params[{i}]: needs n and one of fixed, pp, min or expr")
-    for name, kind in derived.items():
-        if kind not in DERIVED_DOC:
-            raise FactorLabError(f"{rid} derived.{name}: unknown derived kind {kind!r}")
     return FactorizationRecord(
         id=rid, table=raw["table"], row=raw["row"], sub=raw.get("sub"),
-        family=raw["family"], shapes=raw["shapes"],
-        asts={k: parse(f"shapes.{k}", parse_shape, s) for k, s in raw["shapes"].items()},
+        family=raw["family"], shapes=shapes,
+        asts={k: parse(f"shapes.{k}", parse_shape, s) for k, s in shapes.items()},
         params=params, where=where,
         where_asts=tuple(parse(f"where[{i}]", parse_condition, w) for i, w in enumerate(where)),
         expr_asts=tuple((p["n"], parse(f"params[{i}].expr", parse_condition, p["expr"]))

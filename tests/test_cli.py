@@ -189,6 +189,9 @@ def test_bad_cap_is_a_one_line_usage_error(capsys):
         assert err.count("\n") == 1 and "Traceback" not in err, err
 
 
+DELETE = object()  # a database value that deletes its key
+
+
 @pytest.mark.parametrize("rid, path, value", [
     ("T1.1b", ("where", 0), "a*b >= "),
     ("T1.1b", ("where", 0), "foo(a) > 1"),
@@ -196,6 +199,10 @@ def test_bad_cap_is_a_one_line_usage_error(capsys):
     ("T8.3", ("params", 2, "expr"), "2^"),
     ("T1.1b", ("derived", "c"), "no_such_kind"),
     ("T1.1b", ("params", 1), {"n": "b"}),
+    ("T1.1a", ("shapes", "int"), DELETE),
+    ("T1.1b", ("params", 2), "q"),
+    ("T1.1b", ("params", 0, "min"), "2"),
+    ("T1.1b", ("table",), DELETE),
 ])
 def test_bad_database_record_is_a_one_line_usage_error(capsys, tmp_path, rid, path, value):
     from factorlab.tables import default_db_path
@@ -204,13 +211,30 @@ def test_bad_database_record_is_a_one_line_usage_error(capsys, tmp_path, rid, pa
     field = next(r for r in doc["records"] if r["id"] == rid)
     for key in path[:-1]:
         field = field[key]
-    field[path[-1]] = value
+    if value is DELETE:
+        del field[path[-1]]
+    else:
+        field[path[-1]] = value
     db = tmp_path / "db.json"
     db.write_text(json.dumps(doc))
     code, out, err = run(capsys, "sweep", "--tier", "a", "--db", str(db))
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith(f"error: {rid} "), err
+
+
+@pytest.mark.parametrize("command, option", [
+    *((cmd, opt) for cmd in ("list", "show") for opt in ("--seed", "--format")),
+    *(("export-db", opt) for opt in ("--table", "--row", "--sub", "--seed", "--format")),
+    *(("check-triple", opt) for opt in ("--table", "--row", "--sub", "--db", "--max-order",
+                                         "--max-group")),
+])
+def test_options_a_command_does_not_read_are_usage_errors(capsys, command, option):
+    positional = ["G.json", "H.json", "K.json"] if command == "check-triple" else []
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *positional, option, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_malformed_genfile_is_a_one_line_usage_error(capsys, tmp_path):

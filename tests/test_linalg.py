@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from factorlab.errors import DimensionMismatch, SingularVector
+from factorlab.errors import DecompositionFailure, DimensionMismatch, SingularVector
 from factorlab.gf import FieldSpec
 from factorlab.linalg import (
+    FormSpec,
     GroupElem,
     MatF,
     SpaceFrame,
@@ -12,10 +13,9 @@ from factorlab.linalg import (
     in_omega,
     is_isometry,
     is_square,
-    quadratic_change_of_basis,
     reflection,
     spinor_norm_class,
-    symplectic_change_of_basis,
+    standard_basis,
     vec_mat,
 )
 
@@ -232,9 +232,32 @@ def test_symplectic_change_of_basis(q, m):
     rng = random.Random(q * m)
     p = random_invertible(F, 2 * m, rng)
     scrambled = p.mul(fr.form.gram.mul(p.transpose()))
-    cb = symplectic_change_of_basis(F, scrambled)
+    bil = FormSpec("alternating", scrambled).bilinear
+    cb, sign = standard_basis(F, 2 * m, lambda v: 0, bil)
+    assert sign == "+"
     new_gram = cb.mul(scrambled.mul(cb.transpose()))
     assert new_gram == fr.form.gram
+
+
+def test_degenerate_alternating_form_has_no_standard_basis():
+    F = FieldSpec.get(3)
+    gram = SpaceFrame.symplectic(F, 2).form.gram
+    degenerate = MatF(F, [*gram.rows[:2], (0,) * 4, (0,) * 4])  # radical <e2, f2>
+    with pytest.raises(DecompositionFailure):
+        standard_basis(F, 4, lambda v: 0, FormSpec("alternating", degenerate).bilinear)
+
+
+def assert_standard_basis(F, qfun, cb, fr):
+    """The rows of cb have the form values of the frame's basis."""
+    for i in range(fr.n):
+        row = cb.rows[i]
+        assert qfun(row) == fr.form.qdiag[i]
+        for j in range(i + 1, fr.n):
+            bil = F.sub(
+                F.sub(qfun(tuple(F.add(a, b) for a, b in zip(row, cb.rows[j]))), qfun(row)),
+                qfun(cb.rows[j]),
+            )
+            assert bil == fr.form.gram.rows[i][j]
 
 
 @pytest.mark.parametrize("q,n,sign", [(2, 6, "-"), (2, 6, "+"), (3, 4, "-"), (4, 4, "+"), (3, 5, "odd")])
@@ -247,14 +270,21 @@ def test_quadratic_change_of_basis(q, n, sign):
     def qfun(v):
         return fr.form.quadratic(vec_mat(F, v, p))
 
-    cb, found_sign = quadratic_change_of_basis(F, qfun, n, target_mu=fr.mu)
+    cb, found_sign = standard_basis(F, n, qfun, target_mu=fr.mu)
     assert found_sign == sign
-    for i in range(n):
-        row = cb.rows[i]
-        assert qfun(row) == fr.form.qdiag[i]
-        for j in range(i + 1, n):
-            bil = F.sub(
-                F.sub(qfun(tuple(F.add(a, b) for a, b in zip(row, cb.rows[j]))), qfun(row)),
-                qfun(cb.rows[j]),
-            )
-            assert bil == fr.form.gram.rows[i][j]
+    assert_standard_basis(F, qfun, cb, fr)
+
+
+def test_standard_basis_of_a_form_whose_singular_vectors_have_full_support():
+    # Q = 2(x^2 + y^2 + z^2) over GF(3) is nonzero on every unit vector and
+    # on every coordinate plane, so only the search of a 3-space finds the
+    # singular vector (1, 1, 1)
+    F = FieldSpec.get(3)
+
+    def qfun(v):
+        return F.mul(2, sum(x * x for x in v) % 3)
+
+    cb, sign = standard_basis(F, 3, qfun)
+    assert sign == "odd"
+    assert cb.rows[0] == (1, 1, 1)
+    assert_standard_basis(F, qfun, cb, SpaceFrame.quadratic(F, 3, "odd"))

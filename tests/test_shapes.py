@@ -19,6 +19,7 @@ from factorlab.shapes import (
     factorize,
     named_order,
     order_of,
+    parse_condition,
     parse_shape,
     ppd,
     print_shape,
@@ -66,6 +67,14 @@ def test_parse_errors():
         parse_shape("Foo(3,2)")
     with pytest.raises(UnboundSymbol):
         order_of("SL(a,q)", {"q": 4})
+
+
+def test_parse_error_at_the_end_of_input_says_so():
+    end = "found end of input at position"
+    with pytest.raises(ShapeSyntaxError, match=f"^expected arithmetic, {end} 3$"):
+        parse_condition("q +")
+    with pytest.raises(ShapeSyntaxError, match=rf"^expected \), {end} 6$"):
+        parse_shape("SL(3,2")
 
 
 def test_order_examples():

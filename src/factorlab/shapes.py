@@ -13,12 +13,15 @@ pairs (u,v) denote gcd and become gcd(u,v)):
     expo   := INT | VAR | '(' arith ')'
     arith  := integer arithmetic over bindings with + - * / ^ % and gcd(u,v)
 
-All separators evaluate multiplicatively; '/k' divides exactly or raises.
-
 `parse_condition` reads a database `where` constraint or parameter `expr`:
 arith plus Python's or, and, not, chained comparisons, unary minus (-2^2 is
--4) and the calls odd(u), even(u), gcd(u,v), min(u,v), max(u,v), as arith
-nodes that `arith_eval` evaluates.
+-4) and the calls odd(u), even(u), gcd(u,v), min(u,v), max(u,v).
+
+Shapes, constraints and expressions parse to one node format, tuples that
+`arith_eval` evaluates, `arith_print` prints and `arith_symbols` walks.  A
+shape's order is its value: the separators multiply, '/k' is the exact
+division ('div', e, ('int', k)) and q^e the power ('pow', b, e), each of
+which raises NonIntegralQuotient where it is not an integer.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import math
 import operator
 import random
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -39,16 +41,27 @@ from .errors import (
 )
 from .gf import is_prime_power, split_prime_power
 
-# -- arithmetic expressions -------------------------------------------------
-# nodes: ('int', v) ('var', name) ('add'|'sub'|'mul'|'div'|'mod'|'pow'|'gcd', l, r);
-# conditions add ('and'|'or'|'min'|'max'|comparison, l, r) and (op in _UNARY, u)
+# -- nodes ----------------------------------------------------------------------
+# arithmetic: ('int', v) ('var', name) ('add'|'sub'|'mul'|'div'|'mod'|'pow'|'gcd', l, r);
+# conditions add ('and'|'or'|'min'|'max'|comparison, l, r) and (op in _UNARY, u);
+# shapes add (':'|'.'|'x', l, r), ('paren', e), ('bracket', u), ('named', name)
+# and ('family', name, primed, *args)
+
+
+def _bracket(v):
+    if v < 1:
+        raise NonIntegralQuotient(f"bracket order {v} < 1")
+    return v
+
 
 _UNARY = {"neg": operator.neg, "not": operator.not_,
-          "odd": lambda v: v % 2 == 1, "even": lambda v: v % 2 == 0}
+          "odd": lambda v: v % 2 == 1, "even": lambda v: v % 2 == 0,
+          "paren": lambda v: v, "bracket": _bracket}
 _COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
             "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 _BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
-           "mod": operator.mod, "gcd": math.gcd, "min": min, "max": max, **_COMPARE}
+           "mod": operator.mod, "gcd": math.gcd, "min": min, "max": max, **_COMPARE,
+           ":": operator.mul, ".": operator.mul, "x": operator.mul}
 
 
 def arith_eval(node, bindings):
@@ -60,6 +73,11 @@ def arith_eval(node, bindings):
             return bindings[node[1]]
         except KeyError:
             raise UnboundSymbol(f"unbound symbol {node[1]!r}") from None
+    if op == "family":
+        _, name, primed, *args = node
+        return classical_order(name, *(arith_eval(a, bindings) for a in args), primed=primed)
+    if op == "named":
+        return named_order(node[1])
     # and, or stop once the result is known
     if op == "and":
         return bool(arith_eval(node[1], bindings)) and bool(arith_eval(node[2], bindings))
@@ -85,27 +103,41 @@ def arith_symbols(node, out=None):
         out = set()
     if node[0] == "var":
         out.add(node[1])
-    elif node[0] != "int":
-        for child in node[1:]:
+    for child in node[1:]:
+        if type(child) is tuple:
             arith_symbols(child, out)
     return out
 
 
-_PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "mod": 2, "pow": 3}
-_OPSTR = {"add": "+", "sub": "-", "mul": "*", "div": "/", "mod": "%", "pow": "^"}
+# 'x' shares the level of '/', so A x B/2 reads and prints as (A x B)/2
+_PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "mod": 2, "x": 2, ":": 3, ".": 3, "pow": 4}
+_OPSTR = {"add": "+", "sub": "-", "mul": "*", "div": "/", "mod": "%", "pow": "^",
+          "x": " x ", ":": ":", ".": "."}
 
 
 def arith_print(node, parent_prec=0, right=False):
+    """A node as the grammar reads it back; a compound exponent is always
+    parenthesized (q^(m^2), not q^m^2)."""
     op = node[0]
     if op == "int":
         return str(node[1])
-    if op == "var":
+    if op in ("var", "named"):
         return node[1]
     if op == "gcd":
         return f"gcd({arith_print(node[1])},{arith_print(node[2])})"
+    if op == "family":
+        _, name, primed, *args = node
+        return f"{name}({','.join(map(arith_print, args))})" + ("'" if primed else "")
+    if op == "paren":
+        return f"({arith_print(node[1])})"
+    if op == "bracket":
+        return f"[{arith_print(node[1])}]"
     prec = _PREC[op]
     l = arith_print(node[1], prec, False)
-    r = arith_print(node[2], prec, True)
+    if op == "pow" and node[2][0] not in ("int", "var"):
+        r = f"({arith_print(node[2])})"
+    else:
+        r = arith_print(node[2], prec, True)
     s = f"{l}{_OPSTR[op]}{r}"
     # left-assoc operators need parens when appearing as a right child of the
     # same precedence; pow is right-assoc
@@ -113,58 +145,7 @@ def arith_print(node, parent_prec=0, right=False):
     return f"({s})" if need else s
 
 
-# -- shape AST ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Family:
-    name: str
-    args: tuple
-    primed: bool = False
-
-
-@dataclass(frozen=True)
-class PowerAtom:
-    base: tuple  # arith node, int or 'q'
-    expo: tuple  # arith node
-
-
-@dataclass(frozen=True)
-class Bracket:
-    arith: tuple
-
-
-@dataclass(frozen=True)
-class Named:
-    name: str
-
-
-@dataclass(frozen=True)
-class IntAtom:
-    value: int
-
-
-@dataclass(frozen=True)
-class Group:
-    expr: "Quot"
-
-
-@dataclass(frozen=True)
-class Term:
-    atoms: tuple
-    seps: tuple  # len(atoms) - 1 entries from {':', '.'}
-
-
-@dataclass(frozen=True)
-class Prod:
-    terms: tuple
-
-
-@dataclass(frozen=True)
-class Quot:
-    prod: Prod
-    div: int | None = None
-
+# -- shapes ---------------------------------------------------------------------
 
 FAMILIES = {
     "SL", "GL", "PSL", "PGL", "SigmaL", "GammaL", "PGaL", "PSigmaL",
@@ -355,27 +336,24 @@ class _Parser:
     # shapes ---------------------------------------------------------------
 
     def expr(self):
-        prod = self.prod()
-        div = None
+        node = self.prod()
         if self.peek()[:2] == ("sym", "/"):
             self.next()
-            div = self.expect("int")[1]
-        return Quot(prod, div)
+            node = ("div", node, ("int", self.expect("int")[1]))
+        return node
 
     def prod(self):
-        terms = [self.term()]
+        node = self.term()
         while self.peek()[:2] == ("name", "x"):
             self.next()
-            terms.append(self.term())
-        return Prod(tuple(terms))
+            node = ("x", node, self.term())
+        return node
 
     def term(self):
-        atoms = [self.atom()]
-        seps = []
+        node = self.atom()
         while self.peek()[:2] in (("sym", ":"), ("sym", ".")):
-            seps.append(self.next()[1])
-            atoms.append(self.atom())
-        return Term(tuple(atoms), tuple(seps))
+            node = (self.next()[1], node, self.atom())
+        return node
 
     def atom(self):
         t = self.peek()
@@ -383,8 +361,8 @@ class _Parser:
             self.next()
             if self.peek()[:2] == ("sym", "^"):
                 self.next()
-                return PowerAtom(("int", t[1]), self.expo())
-            return IntAtom(t[1])
+                return ("pow", ("int", t[1]), self.expo())
+            return ("int", t[1])
         if t[0] == "name":
             name = t[1]
             if name in FAMILIES:
@@ -399,7 +377,7 @@ class _Parser:
                 if self.peek()[:2] == ("sym", "'"):
                     self.next()
                     primed = True
-                return Family(name, tuple(args), primed)
+                return ("family", name, primed, *args)
             if name == "q" or (len(name) <= 2 and name.islower()):
                 self.next()
                 if self.peek()[:2] != ("sym", "^"):
@@ -407,21 +385,21 @@ class _Parser:
                         f"bare symbol {name!r} is not a shape atom", t[2], ("^",)
                     )
                 self.next()
-                return PowerAtom(("var", name), self.expo())
+                return ("pow", ("var", name), self.expo())
             if _NAMED_RE.match(name) or name in NAMED_ORDERS:
                 self.next()
-                return Named(name)
+                return ("named", name)
             raise UnknownFamily(f"unknown family or named group {name!r}")
         if t[:2] == ("sym", "["):
             self.next()
             node = self.arith()
             self.expect("sym", "]")
-            return Bracket(node)
+            return ("bracket", node)
         if t[:2] == ("sym", "("):
             self.next()
             node = self.expr()
             self.expect("sym", ")")
-            return Group(node)
+            return ("paren", node)
         raise ShapeSyntaxError(f"unexpected {_shown(t)}", t[2])
 
     def expo(self):
@@ -440,46 +418,16 @@ class _Parser:
         raise ShapeSyntaxError(f"bad exponent at {_shown(t)}", t[2], ("int", "var", "("))
 
 
-def parse_shape(s: str) -> Quot:
+def parse_shape(s: str) -> tuple:
     return _Parser(s).whole(_Parser.expr)
+
+
+print_shape = arith_print
 
 
 def parse_condition(s: str) -> tuple:
     """A `where` constraint or a parameter `expr` as an arith node."""
     return _Parser(s, condition=True).whole(_Parser.disjunction)
-
-
-def print_shape(node) -> str:
-    if isinstance(node, Quot):
-        s = print_shape(node.prod)
-        return s if node.div is None else f"{s}/{node.div}"
-    if isinstance(node, Prod):
-        return " x ".join(print_shape(t) for t in node.terms)
-    if isinstance(node, Term):
-        out = [print_shape(node.atoms[0])]
-        for sep, atom in zip(node.seps, node.atoms[1:]):
-            out.append(sep)
-            out.append(print_shape(atom))
-        return "".join(out)
-    if isinstance(node, Family):
-        args = ",".join(arith_print(a) for a in node.args)
-        return f"{node.name}({args})" + ("'" if node.primed else "")
-    if isinstance(node, PowerAtom):
-        expo = node.expo
-        if expo[0] in ("int", "var"):
-            e = arith_print(expo)
-        else:
-            e = f"({arith_print(expo)})"
-        return f"{arith_print(node.base)}^{e}"
-    if isinstance(node, Bracket):
-        return f"[{arith_print(node.arith)}]"
-    if isinstance(node, Named):
-        return node.name
-    if isinstance(node, IntAtom):
-        return str(node.value)
-    if isinstance(node, Group):
-        return f"({print_shape(node.expr)})"
-    raise TypeError(f"not a shape node: {node!r}")
 
 
 # -- orders -----------------------------------------------------------------
@@ -683,41 +631,10 @@ def named_order(name: str) -> int:
 
 
 def order_of(node, bindings) -> int:
-    """Exact order of a shape under the given symbol bindings."""
+    """Exact order of a shape, parsed or as a string, under the given bindings."""
     if isinstance(node, str):
         node = parse_shape(node)
-    if isinstance(node, Quot):
-        o = order_of(node.prod, bindings)
-        if node.div is not None:
-            if o % node.div:
-                raise NonIntegralQuotient(f"order {o} not divisible by {node.div}")
-            o //= node.div
-        return o
-    if isinstance(node, Prod):
-        return _prod(order_of(t, bindings) for t in node.terms)
-    if isinstance(node, Term):
-        return _prod(order_of(a, bindings) for a in node.atoms)
-    if isinstance(node, Family):
-        args = tuple(arith_eval(a, bindings) for a in node.args)
-        return classical_order(node.name, *args, primed=node.primed)
-    if isinstance(node, PowerAtom):
-        base = arith_eval(node.base, bindings)
-        expo = arith_eval(node.expo, bindings)
-        if expo < 0:
-            raise NonIntegralQuotient(f"negative exponent {expo}")
-        return base ** expo
-    if isinstance(node, Bracket):
-        v = arith_eval(node.arith, bindings)
-        if v < 1:
-            raise NonIntegralQuotient(f"bracket order {v} < 1")
-        return v
-    if isinstance(node, Named):
-        return named_order(node.name)
-    if isinstance(node, IntAtom):
-        return node.value
-    if isinstance(node, Group):
-        return order_of(node.expr, bindings)
-    raise TypeError(f"not a shape node: {node!r}")
+    return arith_eval(node, bindings)
 
 
 # -- primitive prime divisors ------------------------------------------------

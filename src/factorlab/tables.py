@@ -1,8 +1,9 @@
 """The machine-readable database of classification-table rows: loader with a
 manifest check, constraint evaluation, and enumeration of admissible bindings
 (including the derived exponents c and d and their branch conventions).
-Shapes, constraints and parameter expressions are parsed once, at load, by
-the grammar of `shapes`; a field that cannot be read is named in the error.
+Shapes, constraints and parameter expressions are parsed at load, each
+distinct string once, by the grammar of `shapes`; a field that cannot be
+read is named in the error.
 """
 
 from __future__ import annotations
@@ -64,13 +65,23 @@ def default_db_path():
 
 
 def load_db(path=None):
-    """Load and manifest-check the DB; returns the record list."""
-    with open(path or default_db_path()) as fh:
-        doc = json.load(fh)
+    """Load and manifest-check the DB; returns the record list.  Each distinct
+    string is parsed once, and records that repeat it share its node."""
+    path = path or default_db_path()
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as e:  # not JSON, or not UTF-8
+            raise FactorLabError(f"{path}: not a JSON file: {e}") from None
+    if not (type(doc) is dict and type(doc.get("records")) is list
+            and type(doc.get("manifest", {})) is dict):
+        raise FactorLabError(f"{path}: needs an object with a records array "
+                             "and a manifest object")
     records = []
     seen = set()
+    parsed = {}
     for raw in doc["records"]:
-        rec = _parse_record(raw)
+        rec = _parse_record(raw, parsed)
         if rec.id in seen:
             raise ManifestMismatch(f"duplicate record id {rec.id}")
         seen.add(rec.id)
@@ -93,12 +104,13 @@ _JSON_TYPES = {int: "an integer", str: "a string", bool: "a boolean", list: "an 
 _PARAM_TYPES = {"min": int, "fixed": int, "pp": bool, "even": bool, "odd": bool, "expr": str}
 
 
-def _parse_record(raw):
+def _parse_record(raw, parsed):
     """One record, checked against docs/tables_db.schema.json, its shapes,
-    constraints and parameter expressions parsed once.  A field of the wrong
-    JSON type, a field that does not parse, a constraint or expression over
-    an undeclared symbol, a param with no values and an unknown derived kind
-    each raise a FactorLabError that starts with the record id and field."""
+    constraints and parameter expressions parsed through the memo `parsed`.
+    A field of the wrong JSON type, a field that does not parse, a shape,
+    constraint or expression over an undeclared symbol, a param with no
+    values and an unknown derived kind each raise a FactorLabError that
+    starts with the record id and field."""
     rid = raw.get("id") if type(raw) is dict else None
     if type(rid) is not str:
         raise FactorLabError(f"record {rid!r}: needs a string id")
@@ -117,8 +129,8 @@ def _parse_record(raw):
     params = check("params", raw.get("params", []), list)
     where = check("where", raw.get("where", []), list)
     derived = check("derived", raw.get("derived", {}), dict)
-    for key, kind in (("sub", str), ("ref", str), ("remarks", str), ("tier_b", dict)):
-        check(key, raw.get(key), kind, optional=True)
+    for key in ("sub", "ref", "remarks"):
+        check(key, raw.get(key), str, optional=True)
     for i, p in enumerate(params):
         check(f"params[{i}]", p, dict)
         check(f"params[{i}].n", p.get("n"), str)
@@ -132,12 +144,26 @@ def _parse_record(raw):
     for name, kind in derived.items():
         if check(f"derived.{name}", kind, str) not in DERIVED_DOC:
             raise FactorLabError(f"{rid} derived.{name}: unknown derived kind {kind!r}")
+    tier_b = check("tier_b", raw.get("tier_b"), dict, optional=True)
+    if tier_b is not None:
+        check("tier_b.route", tier_b.get("route"), str)
+        for i, b in enumerate(check("tier_b.bindings", tier_b.get("bindings"), list)):
+            check(f"tier_b.bindings[{i}]", b, dict)
+        # a recipe is [kind, *args]; K and ambient may be left out
+        for key in ("H", "domain", *(k for k in ("K", "ambient") if k in tier_b)):
+            recipe = check(f"tier_b.{key}", tier_b.get(key), list)
+            check(f"tier_b.{key}[0]", recipe[0] if recipe else None, str)
+        if "residual_int" in tier_b:
+            check("tier_b.residual_int", tier_b["residual_int"], int)
     names = {p["n"] for p in params} | set(derived)
 
     def parse(label, parser, text):
         try:
-            node = parser(text)
-            unknown = arith_symbols(node) - names if parser is parse_condition else ()
+            if (parser, text) not in parsed:
+                node = parser(text)
+                parsed[parser, text] = node, arith_symbols(node)
+            node, symbols = parsed[parser, text]
+            unknown = symbols - names
             if unknown:
                 raise FactorLabError(f"unknown symbol {min(unknown)!r}")
             return node

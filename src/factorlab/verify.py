@@ -19,7 +19,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 
-from .errors import CapExceeded, DomainOverflow, FactorLabError, UnboundSymbol
+from .errors import CapExceeded, DomainOverflow, FactorLabError, FieldMismatch, UnboundSymbol
 from . import construct, perm
 from .perm import _frontier_orbit, bsgs, compose, enumerate_and_sift, orbit, solvable_residual
 from .shapes import order_of
@@ -138,7 +138,12 @@ def _build_domain(desc, frame, bindings, ambient, cap):
     build = getattr(perm, builder)
     if role == "frame":
         return build(frame, *args, cap)
+    if ambient is None:
+        raise FactorLabError(f"domain {desc[0]} needs an ambient")
     amb, _ = _build_group(ambient, bindings)
+    if (amb.frame.field, amb.frame.n) != (frame.field, frame.n):
+        raise FieldMismatch(f"the ambient acts on {amb.frame.field}^{amb.frame.n}, "
+                            f"H on {frame.field}^{frame.n}")
     return build(amb.frame, getattr(construct, seeder[0])(amb.frame, *args), amb.gens, cap)
 
 

@@ -203,6 +203,16 @@ DELETE = object()  # a database value that deletes its key
     ("T1.1b", ("params", 2), "q"),
     ("T1.1b", ("params", 0, "min"), "2"),
     ("T1.1b", ("table",), DELETE),
+    # a TIER-B recipe's keys are checked at load, whatever the tier
+    ("T1.1b", ("tier_b", "route"), DELETE),
+    ("T1.1b", ("tier_b", "bindings"), DELETE),
+    ("T1.1b", ("tier_b", "bindings", 0), 4),
+    ("T1.1b", ("tier_b", "H"), []),
+    ("T1.1b", ("tier_b", "domain"), "NonzeroVectors"),
+    ("T6.19", ("tier_b", "ambient"), {"kind": "classical"}),
+    ("T8.1a", ("tier_b", "K"), [3, 2]),
+    ("T8.1a", ("tier_b", "residual_int"), True),
+    ("T1.1a", ("shapes", "H"), "z^2:SL(2,q)"),  # an undeclared symbol, as in where
 ])
 def test_bad_database_record_is_a_one_line_usage_error(capsys, tmp_path, rid, path, value):
     from factorlab.tables import default_db_path

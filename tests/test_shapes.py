@@ -10,11 +10,7 @@ from factorlab.errors import (
     UnknownFamily,
 )
 from factorlab.shapes import (
-    Bracket,
-    Family,
-    IntAtom,
-    Named,
-    PowerAtom,
+    arith_symbols,
     classical_order,
     factorize,
     named_order,
@@ -37,16 +33,14 @@ def roundtrip(s):
 
 def test_parse_basic_shapes():
     ast = roundtrip("2^3:SL(3,2)")
-    term = ast.prod.terms[0]
-    assert isinstance(term.atoms[0], PowerAtom)
-    assert isinstance(term.atoms[1], Family) and term.atoms[1].name == "SL"
+    assert ast == (":", ("pow", ("int", 2), ("int", 3)),
+                   ("family", "SL", False, ("int", 3), ("int", 2)))
 
     ast = roundtrip("[gcd(q^5,q^6/4)]:SL(2,q)")
-    assert isinstance(ast.prod.terms[0].atoms[0], Bracket)
+    assert ast[0] == ":" and ast[1][0] == "bracket"
 
     ast = roundtrip("3.M22")
-    atoms = ast.prod.terms[0].atoms
-    assert atoms == (IntAtom(3), Named("M22"))
+    assert ast == (".", ("int", 3), ("named", "M22"))
 
     roundtrip("(SL(2,3) x SL(2,9))/2")
     roundtrip("q^c:Sp(a,q^(2*b))")
@@ -58,6 +52,18 @@ def test_parse_basic_shapes():
     roundtrip("Sz(q^(m/2))")
     roundtrip("D(2*(q^(m/2)-1))")
     roundtrip("[(q-1)/2].2")
+
+
+def test_shapes_are_arith_nodes():
+    # separators are left-associative binary nodes, '/k' binds loosest, and a
+    # parenthesized shape keeps its parentheses
+    ast = roundtrip("(SL(2,3) x 2^3:A7.2)/2")
+    sl = ("family", "SL", False, ("int", 2), ("int", 3))
+    ext = (".", (":", ("pow", ("int", 2), ("int", 3)), ("named", "A7")), ("int", 2))
+    assert ast == ("div", ("paren", ("x", sl, ext)), ("int", 2))
+    assert roundtrip("Sp(4,2)'") == ("family", "Sp", True, ("int", 4), ("int", 2))
+    assert print_shape(parse_shape("SL(2,q^b^2)")) == "SL(2,q^(b^2))"
+    assert arith_symbols(parse_shape("[q^c]:Sp(a-2,q^b) x M22")) == {"q", "c", "a", "b"}
 
 
 def test_parse_errors():
@@ -104,6 +110,10 @@ def test_nonintegral_quotient():
         order_of("SL(3,2)/5", {})
     with pytest.raises(NonIntegralQuotient):
         order_of("[q/4]", {"q": 2})
+    with pytest.raises(NonIntegralQuotient, match="bracket order 0 < 1"):
+        order_of("[q-2].2", {"q": 2})
+    with pytest.raises(NonIntegralQuotient, match="negative exponent -1"):
+        order_of("q^(a-2):SL(2,q)", {"q": 2, "a": 1})
 
 
 def test_classical_orders_known_values():

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from factorlab import cli
 from factorlab.errors import FactorLabError, ManifestMismatch, ShapeSyntaxError
 from factorlab.shapes import order_of, parse_condition, parse_shape, print_shape
 from factorlab.tables import (
@@ -111,6 +112,23 @@ def test_grammar_rejects_what_it_does_not_read(tmp_path):
         bad.write_text(json.dumps(doc))
         with pytest.raises(FactorLabError, match=r"^T1\.1b where\[0\]: "):
             load_db(str(bad))
+
+
+@pytest.mark.parametrize("text", ['{"x": ', '{"records": 3}', "[]"])
+def test_malformed_database_file_is_a_one_line_usage_error(capsys, tmp_path, text):
+    db = tmp_path / "db.json"
+    db.write_text(text)
+    code = cli.main(["sweep", "--tier", "a", "--db", str(db)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: {db}: "), err
+
+
+def test_each_distinct_string_is_parsed_once(records):
+    nodes = {}
+    for r in records:
+        for key, s in r.shapes.items():
+            assert nodes.setdefault(s, r.shape(key)) is r.shape(key), (r.id, key)
 
 
 def test_admissible_bindings_unitary_row2(records):

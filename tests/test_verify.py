@@ -306,6 +306,14 @@ FAIL_DETAILS = {
         "order identity fails",
         {"orderH": 504, "orderG": 1451521, "orderK": 11520, "orderInt": 4,
          "residualOrderInt": 1}),
+    # an orbit domain's ambient must act on H's space, checked before the
+    # orbit is built (H's chain on an orbit in GF(97)^2 cannot run)
+    "ambient of another space": (
+        ("T8.2a", [], {"ambient": ["classical", "Sp", 2, 97]}),
+        "construction: the ambient acts on GF(97)^2, H on GF(2)^8", {}),
+    "no ambient": (
+        ("T6.19", [], {"ambient": None}),
+        "construction: domain MinusPairOrbit needs an ambient", {}),
 }
 
 

@@ -10,7 +10,7 @@ also builds q x q addition and q-length negation tables on first use.
 
 from __future__ import annotations
 
-from .errors import DivisionByZero, FieldMismatch, NoSuchConstant, NotASubfield
+from .errors import DivisionByZero, NoSuchConstant, NotASubfield
 
 # largest odd-characteristic field whose addition is a q x q table
 ADD_TABLE_MAX_Q = 256
@@ -154,10 +154,6 @@ class FieldSpec:
     def elements(self):
         return range(self.q)
 
-    def check(self, x):
-        if not isinstance(x, int) or not 0 <= x < self.q:
-            raise FieldMismatch(f"{x!r} is not an element of {self}")
-
     # -- digit packing ---------------------------------------------------
 
     def digits(self, x):
@@ -170,10 +166,6 @@ class FieldSpec:
         for c in reversed(digits):
             acc = acc * p + (c % p)
         return acc
-
-    def scalar(self, c: int) -> int:
-        """The prime-field constant c."""
-        return c % self.p
 
     # -- arithmetic ------------------------------------------------------
 
@@ -270,9 +262,6 @@ class FieldSpec:
         if self._exp is None:
             self._build_tables()
         return self._exp[(-self._log[x]) % (self.q - 1)]
-
-    def div(self, x, y):
-        return self.mul(x, self.inv(y))
 
     def pow(self, x, n: int):
         if x == 0:

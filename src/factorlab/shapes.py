@@ -2,12 +2,13 @@
 
 The ASCII grammar (subscripts become parenthesized arguments, x is direct
 product, : and . are extensions, [..] is a group of the bracketed order,
-pairs (u,v) denote gcd and become gcd(u,v)):
+pairs (u,v) denote gcd and become gcd(u,v); a FAMILY is a key of FAMILIES
+and takes as many arguments as its row):
 
     expr   := prod ('/' INT)?
     prod   := term ('x' term)*
     term   := atom ((':' | '.') atom)*
-    atom   := FAMILY '(' arith {',' arith} ')' ['\\''] | base '^' expo
+    atom   := FAMILY '(' arith [',' arith] ')' ['\\''] | base '^' expo
             | '[' arith ']' | NAMED | INT | '(' expr ')'
     base   := INT | 'q'
     expo   := INT | VAR | '(' arith ')'
@@ -146,19 +147,6 @@ def arith_print(node, parent_prec=0, right=False):
 
 
 # -- shapes ---------------------------------------------------------------------
-
-FAMILIES = {
-    "SL", "GL", "PSL", "PGL", "SigmaL", "GammaL", "PGaL", "PSigmaL",
-    "SU", "GU", "PSU", "PGU", "GammaU",
-    "Sp", "PSp", "GammaSp",
-    "O+", "O-", "OOdd", "GO+", "GO-", "GOOdd", "SO+", "SO-",
-    "Omega+", "Omega-", "OmegaOdd", "POmega+", "POmega-",
-    "GammaO+", "GammaO-", "GammaOOdd",
-    "Spin",
-    "G2", "GammaG2", "TwoG2", "F4", "Sz",
-    "AGL", "ASL", "AGaL",
-    "D",
-}
 
 NAMED_ORDERS = {
     "Q8": 8,
@@ -373,6 +361,10 @@ class _Parser:
                     self.next()
                     args.append(self.arith())
                 self.expect("sym", ")")
+                arity = 2 if name in _BY_N_Q else 1
+                if len(args) != arity:
+                    raise ShapeSyntaxError(
+                        f"{name} takes {arity} argument(s), found {len(args)}", t[2])
                 primed = False
                 if self.peek()[:2] == ("sym", "'"):
                     self.next()
@@ -431,193 +423,140 @@ def parse_condition(s: str) -> tuple:
 
 
 # -- orders -----------------------------------------------------------------
-
-
-def _prod(iterable):
-    acc = 1
-    for x in iterable:
-        acc *= x
-    return acc
+# One row per family name, after Kleidman and Liebeck, The Subgroup Structure
+# of the Finite Classical Groups (1990), Table 2.1.C.  The five bases are
+# cached; a row over (n, q) is lambda n, q, f with q = p^f, a row over q alone
+# is lambda q.
 
 
 @lru_cache(maxsize=None)
-def _gl_order(n, q):
-    return q ** (n * (n - 1) // 2) * _prod(q ** i - 1 for i in range(1, n + 1))
+def _gl(n, q):
+    return q ** (n * (n - 1) // 2) * math.prod(q ** i - 1 for i in range(1, n + 1))
 
 
 @lru_cache(maxsize=None)
-def _gu_order(n, q):
-    return q ** (n * (n - 1) // 2) * _prod(q ** i - (-1) ** i for i in range(1, n + 1))
+def _gu(n, q):
+    return q ** (n * (n - 1) // 2) * math.prod(q ** i - (-1) ** i for i in range(1, n + 1))
 
 
 @lru_cache(maxsize=None)
-def _sp_order(n, q):
+def _sp(n, q):
     if n % 2:
         raise IllegalParameters(f"Sp needs even dimension, got {n}")
     m = n // 2
-    return q ** (m * m) * _prod(q ** (2 * i) - 1 for i in range(1, m + 1))
+    return q ** (m * m) * math.prod(q ** (2 * i) - 1 for i in range(1, m + 1))
 
 
 @lru_cache(maxsize=None)
-def _go_odd_order(n, q):
-    # full isometry group of a nondegenerate quadratic form, odd dimension
-    if n % 2 == 0:
-        raise IllegalParameters(f"odd-dimensional family needs odd n, got {n}")
+def _go_odd(n, q):
+    """The isometry group of a nondegenerate quadratic form, odd n >= 3."""
+    if n < 3 or n % 2 == 0:
+        raise IllegalParameters(f"an odd orthogonal family needs odd n >= 3, got {n}")
     m = (n - 1) // 2
-    return math.gcd(2, q - 1) * q ** (m * m) * _prod(q ** (2 * i) - 1 for i in range(1, m + 1))
+    return math.gcd(2, q - 1) * q ** (m * m) * math.prod(q ** (2 * i) - 1 for i in range(1, m + 1))
 
 
 @lru_cache(maxsize=None)
-def _o_order(n, q, eps):
-    if n % 2:
-        raise IllegalParameters(f"O^eps needs even dimension, got {n}")
+def _o(n, q, eps):
+    """O^eps(n, q), the isometry group of a quadratic form of type eps, even n >= 2."""
+    if n < 2 or n % 2:
+        raise IllegalParameters(f"O^eps needs even n >= 2, got {n}")
     m = n // 2
-    return (
-        2
-        * q ** (m * (m - 1))
-        * (q ** m - eps)
-        * _prod(q ** (2 * i) - 1 for i in range(1, m))
-    )
+    return 2 * q ** (m * (m - 1)) * (q ** m - eps) * math.prod(q ** (2 * i) - 1
+                                                              for i in range(1, m))
 
 
-def _omega_order(n, q, eps):
-    return _o_order(n, q, eps) // (2 * math.gcd(2, q - 1))
+def _orthogonal_rows(sign, eps):
+    """The rows of the even-dimensional orthogonal families of type eps."""
+    return {
+        f"O{sign}": lambda n, q, f: _o(n, q, eps),
+        f"GO{sign}": lambda n, q, f: _o(n, q, eps),
+        f"SO{sign}": lambda n, q, f: _o(n, q, eps) // math.gcd(2, q - 1),
+        f"GammaO{sign}": lambda n, q, f: f * _o(n, q, eps),
+        f"Omega{sign}": lambda n, q, f: _o(n, q, eps) // (2 * math.gcd(2, q - 1)),
+        # |Z(Omega)| = (4, q^(n/2) - eps) / (2, q - 1)
+        f"POmega{sign}": lambda n, q, f: _o(n, q, eps) // (2 * math.gcd(4, q ** (n // 2) - eps)),
+    }
 
 
-def _check_pp(q):
-    if not is_prime_power(q):
-        raise IllegalParameters(f"{q} is not a prime power")
-    return q
+_BY_N_Q = {
+    "GL": lambda n, q, f: _gl(n, q),
+    "SL": lambda n, q, f: _gl(n, q) // (q - 1),
+    "PGL": lambda n, q, f: _gl(n, q) // (q - 1),
+    "PSL": lambda n, q, f: _gl(n, q) // (q - 1) // math.gcd(n, q - 1),
+    "GammaL": lambda n, q, f: f * _gl(n, q),
+    "SigmaL": lambda n, q, f: f * _gl(n, q) // (q - 1),
+    "PGaL": lambda n, q, f: f * _gl(n, q) // (q - 1),
+    "PSigmaL": lambda n, q, f: f * _gl(n, q) // (q - 1) // math.gcd(n, q - 1),
+    "GU": lambda n, q, f: _gu(n, q),
+    "SU": lambda n, q, f: _gu(n, q) // (q + 1),
+    "PGU": lambda n, q, f: _gu(n, q) // (q + 1),
+    "PSU": lambda n, q, f: _gu(n, q) // (q + 1) // math.gcd(n, q + 1),
+    "GammaU": lambda n, q, f: 2 * f * _gu(n, q),
+    "Sp": lambda n, q, f: _sp(n, q),
+    "PSp": lambda n, q, f: _sp(n, q) // math.gcd(2, q - 1),
+    "GammaSp": lambda n, q, f: f * _sp(n, q),
+    "OOdd": lambda n, q, f: _go_odd(n, q),
+    "GOOdd": lambda n, q, f: _go_odd(n, q),
+    "GammaOOdd": lambda n, q, f: f * _go_odd(n, q),
+    "OmegaOdd": lambda n, q, f: _go_odd(n, q) // math.gcd(2, q - 1) ** 2,
+    "Spin": lambda n, q, f: _go_odd(n, q) // math.gcd(2, q - 1),
+    **_orthogonal_rows("+", 1),
+    **_orthogonal_rows("-", -1),
+    "AGL": lambda n, q, f: q ** n * _gl(n, q),
+    "ASL": lambda n, q, f: q ** n * _gl(n, q) // (q - 1),
+    "AGaL": lambda n, q, f: q ** n * f * _gl(n, q),
+}
+
+_BY_Q = {
+    "G2": lambda q: q ** 6 * (q ** 6 - 1) * (q ** 2 - 1),
+    "GammaG2": lambda q: split_prime_power(q)[1] * classical_order("G2", q),
+    "TwoG2": lambda q: q ** 3 * (q ** 3 + 1) * (q - 1),
+    "F4": lambda q: q ** 24 * (q ** 12 - 1) * (q ** 8 - 1) * (q ** 6 - 1) * (q ** 2 - 1),
+    "Sz": lambda q: q ** 2 * (q ** 2 + 1) * (q - 1),
+}
+
+# no field: D(n) is the dihedral group of ORDER n (ATLAS style); A and S
+# are written A5 and S6, as named groups, and are no family of the grammar
+_BY_DEGREE = {"D": lambda n: n, "A": lambda n: max(math.factorial(n) // 2, 1),
+              "S": math.factorial}
+
+# the family names of the grammar
+FAMILIES = {**_BY_N_Q, **_BY_Q, "D": _BY_DEGREE["D"]}
+
+# the proper derived subgroups among the rows: (name, *args) -> index
+PRIMED = {("SL", 2, 2): 2, ("SL", 2, 3): 3, ("Sp", 2, 2): 2, ("Sp", 2, 3): 3,
+          ("Sp", 4, 2): 2, ("G2", 2): 2, ("TwoG2", 3): 3, ("Sz", 2): 4}
 
 
 def classical_order(family: str, *args, primed: bool = False) -> int:
-    """Exact order of a (possibly decorated) classical or exceptional family."""
-    name = family
-    if name in ("A", "S", "D"):
-        (n,) = args
-        if name == "A":
-            return max(math.factorial(n) // 2, 1)
-        if name == "S":
-            return math.factorial(n)
-        return n  # ATLAS-style dihedral D_n of ORDER n
-    if name in ("G2", "TwoG2", "F4", "Sz", "GammaG2"):
-        (q,) = args
-        _check_pp(q)
-        if name == "GammaG2":
-            _, f = split_prime_power(q)
-            return f * classical_order("G2", q)
-        if name == "G2":
-            base = q ** 6 * (q ** 6 - 1) * (q ** 2 - 1)
-            if primed and q == 2:
-                return base // 2
-            return base
-        if name == "TwoG2":
-            base = q ** 3 * (q ** 3 + 1) * (q - 1)
-            if primed and q == 3:
-                return base // 3
-            return base
-        if name == "F4":
-            return (
-                q ** 24 * (q ** 12 - 1) * (q ** 8 - 1) * (q ** 6 - 1) * (q ** 2 - 1)
-            )
-        base = q ** 2 * (q ** 2 + 1) * (q - 1)
-        if primed and q == 2:
-            return base // 4
-        return base
-    n, q = args
-    _check_pp(q)
-    if n < 0:
-        raise IllegalParameters(f"negative dimension {n}")
-    _, f = split_prime_power(q)
-    if name in ("SL", "PSL", "GL", "PGL", "SigmaL", "GammaL", "PGaL", "PSigmaL"):
-        if n == 0:
-            return 1
-        gl = _gl_order(n, q)
-        if name == "GL":
-            return gl
-        if name == "GammaL":
-            return f * gl
-        if name == "PGL":
-            return gl // (q - 1)
-        if name == "PGaL":
-            return f * gl // (q - 1)
-        sl = gl // (q - 1)
-        if name == "SL" or name == "SigmaL" or name == "PSigmaL":
-            if primed and name == "SL":
-                if (n, q) == (2, 2):
-                    return sl // 2
-                if (n, q) == (2, 3):
-                    return sl // 3
-            if name == "SigmaL":
-                return f * sl
-            if name == "PSigmaL":
-                return f * sl // math.gcd(n, q - 1)
-            return sl
-        return sl // math.gcd(n, q - 1)  # PSL
-    if name in ("SU", "PSU", "GU", "PGU", "GammaU"):
-        if n == 0:
-            return 1
-        gu = _gu_order(n, q)
-        if name == "GU":
-            return gu
-        if name == "GammaU":
-            return 2 * f * gu
-        su = gu // (q + 1)
-        if name == "SU":
-            return su
-        if name == "PGU":
-            return gu // (q + 1)
-        return su // math.gcd(n, q + 1)  # PSU
-    if name in ("Sp", "PSp", "GammaSp"):
-        if n == 0:
-            return 1
-        sp = _sp_order(n, q)
-        if name == "GammaSp":
-            return f * sp
-        if name == "PSp":
-            return sp // math.gcd(2, q - 1)
-        if primed:
-            if (n, q) in ((2, 2), (4, 2)):
-                return sp // 2
-            if (n, q) == (2, 3):
-                return sp // 3
-        return sp
-    if name in ("OOdd", "GOOdd", "OmegaOdd", "GammaOOdd", "Spin"):
-        go = _go_odd_order(n, q)
-        if name in ("OOdd", "GOOdd"):
-            return go
-        if name == "GammaOOdd":
-            return f * go
-        omega = go // math.gcd(2, q - 1) ** 2 if q % 2 else go
-        if name == "Spin":
-            return math.gcd(2, q - 1) * omega
-        return omega  # OmegaOdd
-    if name[-1] in "+-" and name[:-1] in ("O", "GO", "SO", "Omega", "POmega", "GammaO"):
-        eps = 1 if name[-1] == "+" else -1
-        base = name[:-1]
-        o = _o_order(n, q, eps)
-        if base in ("O", "GO"):
-            return o
-        if base == "GammaO":
-            return f * o
-        if base == "SO":
-            return o // 2 if q % 2 else o
-        omega = _omega_order(n, q, eps)
-        if base == "Omega":
-            return omega
-        # POmega
-        m = n // 2
-        if q % 2 and (q ** m - eps) % 4 == 0:
-            return omega // 2
-        return omega
-    if name in ("AGL", "ASL", "AGaL"):
-        gl = _gl_order(n, q)
-        if name == "AGL":
-            return q ** n * gl
-        if name == "ASL":
-            return q ** n * gl // (q - 1)
-        return q ** n * f * gl
-    raise UnknownFamily(f"no order formula for family {family!r}")
+    """Exact order of a family at its arguments; primed, of its derived
+    subgroup, which is proper only at the PRIMED entries."""
+    if family in _BY_DEGREE:
+        order = _BY_DEGREE[family](*args)
+    elif family in FAMILIES:
+        # a row over (n, q) tests q twice, by is_prime_power here and by
+        # split_prime_power below, both the names imported from gf, whose
+        # is_prime_power perfbench/tracing.py counts.  Merging the two tests
+        # is ROADMAP item 4; it waits for item 3, since a faster TIER A reads
+        # as a larger peak RSS.
+        q = args[-1]
+        if not is_prime_power(q):
+            raise IllegalParameters(f"{q} is not a prime power")
+        if family in _BY_Q:
+            order = _BY_Q[family](*args)
+        else:
+            n, q = args
+            if n < 0:
+                raise IllegalParameters(f"negative dimension {n}")
+            # an orthogonal base raises below its least dimension; every
+            # other family is the trivial group on the zero space
+            order = _BY_N_Q[family](n, q, split_prime_power(q)[1])
+            if n == 0:
+                order = 1
+    else:
+        raise UnknownFamily(f"no order formula for family {family!r}")
+    return order // PRIMED.get((family, *args), 1) if primed else order
 
 
 def named_order(name: str) -> int:

@@ -149,10 +149,13 @@ def _parse_record(raw, parsed):
         check("tier_b.route", tier_b.get("route"), str)
         for i, b in enumerate(check("tier_b.bindings", tier_b.get("bindings"), list)):
             check(f"tier_b.bindings[{i}]", b, dict)
-        # a recipe is [kind, *args]; K and ambient may be left out
-        for key in ("H", "domain", *(k for k in ("K", "ambient") if k in tier_b)):
-            recipe = check(f"tier_b.{key}", tier_b.get(key), list)
-            check(f"tier_b.{key}[0]", recipe[0] if recipe else None, str)
+        # a recipe is [kind, *args]; ambient may be left out, and so may K
+        # off the sift route, the one that reads it
+        required = ("H", "domain", "K") if tier_b["route"] == "sift" else ("H", "domain")
+        for key in ("H", "domain", "K", "ambient"):
+            if key in required or key in tier_b:
+                recipe = check(f"tier_b.{key}", tier_b.get(key), list)
+                check(f"tier_b.{key}[0]", recipe[0] if recipe else None, str)
         if "residual_int" in tier_b:
             check("tier_b.residual_int", tier_b["residual_int"], int)
     names = {p["n"] for p in params} | set(derived)

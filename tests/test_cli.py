@@ -213,6 +213,8 @@ DELETE = object()  # a database value that deletes its key
     ("T8.1a", ("tier_b", "K"), [3, 2]),
     ("T8.1a", ("tier_b", "residual_int"), True),
     ("T1.1a", ("shapes", "H"), "z^2:SL(2,q)"),  # an undeclared symbol, as in where
+    ("T1.1c", ("shapes", "H"), "G2(q^b,2)'"),  # G2 takes one argument
+    ("T8.1a", ("tier_b", "K"), DELETE),  # the sift route reads K
 ])
 def test_bad_database_record_is_a_one_line_usage_error(capsys, tmp_path, rid, path, value):
     from factorlab.tables import default_db_path

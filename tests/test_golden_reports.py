@@ -1,7 +1,8 @@
 """The JSON reports of `sweep --tier b` at seeds 0 and 1 and of
 `check-triple` on the Sp_6(3) = Sp_2(27) . P_1 triple at seed 0 are
 byte-identical to the copies under tests/data/, and the `sweep --tier a`
-report hashes to the sha256 digest kept there.  A faster path must not
+report hashes to the sha256 digest kept there, as do the family orders of
+`classical_order` over a fixed grid.  A faster path or a new layout must not
 change what is certified; these files pin it on every run.
 `tools/write_golden.py` writes the copies with the calls in GOLDEN."""
 
@@ -9,8 +10,9 @@ import hashlib
 import json
 from pathlib import Path
 
-from factorlab import cli
+from factorlab import cli, shapes
 from factorlab.construct import ext_field_subgroup, gens_classical, parabolic_p1_sp_residual
+from factorlab.errors import FactorLabError
 
 DATA = Path(__file__).parent / "data"
 
@@ -29,6 +31,35 @@ def sweep_tier_a_digest(out, workdir, seed):
     return code
 
 
+# the family-order grid: an (n, q) family over n = 1..8 from its least
+# dimension, a one-argument family over q alone, both over FAMILY_QS
+FAMILY_QS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 6)
+ONE_ARGUMENT = {"D", "F4", "G2", "GammaG2", "Sz", "TwoG2"}
+ODD_ORTHOGONAL = {"GOOdd", "GammaOOdd", "OOdd", "OmegaOdd", "Spin"}
+
+
+def family_orders_digest(out, workdir, seed):
+    """The sha256 hex digest of `classical_order`, the value or the error's
+    class name, for every family on the grid with and without the prime."""
+    lines = []
+    for name in sorted(shapes.FAMILIES):
+        if name in ONE_ARGUMENT:
+            grid = [(q,) for q in FAMILY_QS]
+        else:
+            least = 3 if name in ODD_ORTHOGONAL else 2 if name[-1] in "+-" else 1
+            grid = [(n, q) for n in range(least, 9) for q in FAMILY_QS]
+        for args in grid:
+            for primed in (False, True):
+                try:
+                    value = shapes.classical_order(name, *args, primed=primed)
+                except FactorLabError as e:
+                    value = type(e).__name__
+                mark = "'" if primed else ""
+                lines.append(f"{name}{args}{mark} {value}")
+    out.write_text(hashlib.sha256("\n".join(lines).encode()).hexdigest() + "\n")
+    return 0
+
+
 def check_triple(out, workdir, seed):
     H, _, _ = ext_field_subgroup("Sp", 1, 3, 3)
     K, _ = parabolic_p1_sp_residual(3, 3)
@@ -42,12 +73,14 @@ def check_triple(out, workdir, seed):
                      "--out", str(out)])
 
 
-# golden file -> (writer, seed); a writer returns the command's exit code
+# golden file -> (writer, seed); a writer returns the command's exit code, and
+# a seed of None marks a file that no seed changes
 GOLDEN = {
     "sweep_tier_b_seed0.json": (sweep_tier_b, 0),
     "sweep_tier_b_seed1.json": (sweep_tier_b, 1),
     "check_triple_sp6q3_seed0.json": (check_triple, 0),
     "sweep_tier_a_seed0.sha256": (sweep_tier_a_digest, 0),
+    "family_orders.sha256": (family_orders_digest, None),
 }
 
 
@@ -72,3 +105,7 @@ def test_check_triple_report_is_unchanged(tmp_path):
 
 def test_tier_a_sweep_report_is_unchanged(tmp_path):
     _assert_unchanged("sweep_tier_a_seed0.sha256", tmp_path)
+
+
+def test_family_orders_are_unchanged(tmp_path):
+    _assert_unchanged("family_orders.sha256", tmp_path)

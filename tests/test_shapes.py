@@ -4,6 +4,7 @@ import random
 import pytest
 
 from factorlab.errors import (
+    IllegalParameters,
     NonIntegralQuotient,
     ShapeSyntaxError,
     UnboundSymbol,
@@ -137,6 +138,29 @@ def test_classical_orders_known_values():
     assert classical_order("Sz", 8) == 29120
     assert classical_order("D", 18) == 18
     assert classical_order("A", 9) == 181440
+
+
+ZERO_SPACE = ("GL", "SL", "PGL", "PSL", "GammaL", "SigmaL", "PGaL", "PSigmaL",
+              "GU", "SU", "PGU", "PSU", "GammaU", "Sp", "PSp", "GammaSp", "AGL", "ASL", "AGaL")
+EVEN_ORTHOGONAL = tuple(f"{base}{sign}" for base in ("O", "GO", "SO", "GammaO", "Omega", "POmega")
+                        for sign in "+-")
+ODD_ORTHOGONAL = ("OOdd", "GOOdd", "GammaOOdd", "OmegaOdd", "Spin")
+
+
+@pytest.mark.parametrize("family, n", [
+    *((f, 0) for f in ZERO_SPACE),
+    *((f, 0) for f in EVEN_ORTHOGONAL),
+    *((f, 1) for f in ODD_ORTHOGONAL),
+])
+def test_least_dimension(family, n):
+    """An orthogonal family below its least dimension (even n >= 2, odd
+    n >= 3) is illegal; the others are the trivial group on the zero space."""
+    for q in (4, 9):
+        if family in ZERO_SPACE:
+            assert classical_order(family, n, q) == 1
+        else:
+            with pytest.raises(IllegalParameters):
+                classical_order(family, n, q)
 
 
 def test_named_orders():

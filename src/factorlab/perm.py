@@ -38,9 +38,11 @@ identity exactly when it fixes those few points.
 
 A stabilizer chain level keeps a Schreier tree of its base point's orbit.
 The tree grows in place when a strong generator arrives, so a transversal
-element u_p, once built, stays valid; u_p^-1 is built along the tree as
-s^-1 u_parent^-1 from one inverse per generator, shared by all levels of
-the chain.
+element u_p, once built, stays valid.  Sifts and Schreier generators never
+form u_p or u_p^-1: they extend a word by the generators on the tree path
+from the base down to p, or by their inverses on the way back up (Schreier
+vectors), with one inverse per generator shared by all levels of the chain.
+Only enumeration and coset keys build and keep whole transversal elements.
 """
 
 from __future__ import annotations
@@ -483,26 +485,27 @@ class _Level:
 
     tree (also named orbit) maps every orbit point, in the order found, to
     (parent, index of the generator that reached it); the base maps to None.
-    The tree only grows: add_gen keeps every entry, so transversal elements
-    once built stay valid.  invs holds the generator inverses of the whole
-    chain, shared by its levels.
+    The tree only grows: add_gen keeps every entry, so tree paths and the
+    transversal elements rep builds stay valid.  gen_invs lists the inverses
+    of gens, taken from invs, the generator inverses of the whole chain,
+    shared by its levels.
     """
 
-    __slots__ = ("base", "gens", "orbit", "tree", "invs", "_reps", "_rep_invs")
+    __slots__ = ("base", "gens", "gen_invs", "orbit", "tree", "invs", "_reps")
 
     def __init__(self, base, invs):
         self.base = base
-        self.gens = []
+        self.gens, self.gen_invs = [], []
         self.tree = self.orbit = {base: None}
         self.invs = invs
         self._reps = {base: None}
-        self._rep_invs = {base: None}
 
     def add_gen(self, g):
         """Append g and extend the tree: first by g from every point already
         in it, then breadth first from the new points under all generators."""
         i = len(self.gens)
         self.gens.append(g)
+        self.gen_invs.append(_inverse_of(self.invs, g))
         tree = self.tree
         new = deque()
         for x in list(tree):
@@ -512,29 +515,37 @@ class _Level:
                 new.append(y)
         _grow(tree, new, [h.__getitem__ for h in self.gens])
 
-    def _path(self, point, cache):
-        # the points from point up to the first one in cache, nearest last
-        path = []
-        while point not in cache:
-            path.append(point)
-            point = self.tree[point][0]
-        return cache[point], reversed(path)
+    def _edges(self, point):
+        # the generator indices on the tree path from point up to the base
+        out, edge = [], self.tree[point]
+        while edge is not None:
+            point, i = edge
+            out.append(i)
+            edge = self.tree[point]
+        return out
+
+    def path(self, point):
+        """The generators on the tree path from the base down to point: a word
+        whose product is rep(point)."""
+        return [self.gens[i] for i in reversed(self._edges(point))]
+
+    def path_inv(self, point):
+        """Their inverses from point back up to the base: a word whose product
+        is rep(point)^-1.  Both words are empty for the base."""
+        return [self.gen_invs[i] for i in self._edges(point)]
 
     def rep(self, point):
-        """The transversal element u with base^u = point (None for the base)."""
-        u, path = self._path(point, self._reps)
-        for x in path:
+        """The transversal element u with base^u = point (None for the base),
+        kept once built."""
+        path = []
+        while point not in self._reps:
+            path.append(point)
+            point = self.tree[point][0]
+        u = self._reps[point]
+        for x in reversed(path):
             s = self.gens[self.tree[x][1]]
             u = self._reps[x] = s if u is None else compose(u, s)
         return u
-
-    def rep_inv(self, point):
-        """rep(point)^-1, built as s^-1 u_parent^-1 along the tree."""
-        ui, path = self._path(point, self._rep_invs)
-        for x in path:
-            si = _inverse_of(self.invs, self.gens[self.tree[x][1]])
-            ui = self._rep_invs[x] = si if ui is None else compose(si, ui)
-        return ui
 
 
 class StabChain:
@@ -574,7 +585,8 @@ class StabChain:
 
         word is a list of permutations, applied left to right; its product
         must fix the first start base points.  Returns (residue, level): the
-        residue is word extended by inverse transversal elements, and level
+        residue is word extended, level by level, by the generator inverses
+        on the tree path from the base point's image up to the base, and level
         is None when the product is in the group, else the first depth the
         residue fails at.  No product is formed when the chain has a known
         base: the verdict follows base points through the word.
@@ -588,7 +600,7 @@ class StabChain:
                 continue
             if img not in lvl.orbit:
                 return word, i
-            word.append(lvl.rep_inv(img))
+            word.extend(lvl.path_inv(img))
         if self.known_base is None:
             member = is_identity(_product(word, self.n))
         else:
@@ -665,7 +677,8 @@ class StabChain:
 
     def _schreier_closure(self):
         """Sift every Schreier generator u_p g u_(p^g)^-1 of every level below
-        that level until none adds a strong generator."""
+        that level until none adds a strong generator; each is the word of
+        tree edges path(p) + [g] + path_inv(p^g)."""
         changed = True
         while changed:
             changed = False
@@ -673,16 +686,12 @@ class StabChain:
                 lvl = self.levels[i]
                 tree = lvl.tree
                 for p in list(tree):
-                    up = lvl.rep(p)
+                    up = lvl.path(p)
                     for j, g in enumerate(lvl.gens):
                         pg = g[p]
                         if tree[pg] == (p, j):
                             continue            # a tree edge: u_p g = u_(p^g)
-                        word = [g] if up is None else [up, g]
-                        u2i = lvl.rep_inv(pg)
-                        if u2i is not None:
-                            word.append(u2i)
-                        if self._absorb(word, i + 1):
+                        if self._absorb(up + [g] + lvl.path_inv(pg), i + 1):
                             changed = True
 
     # derived data ----------------------------------------------------------
@@ -692,15 +701,6 @@ class StabChain:
         for lvl in self.levels:
             out.extend(lvl.gens)
         return out
-
-    def random_element(self, rng):
-        g = None
-        for lvl in self.levels:
-            pts = list(lvl.orbit)
-            u = lvl.rep(rng.choice(pts))
-            if u is not None:
-                g = list(u) if g is None else compose(g, u)
-        return list(range(self.n)) if g is None else g
 
     def elements(self, cap=DEFAULT_ENUM_CAP):
         """Iterate all elements as permutation lists (transversal products)."""

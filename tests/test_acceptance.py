@@ -27,6 +27,7 @@ from factorlab.verify import (
     verify_tier_a,
     verify_tier_b,
 )
+from test_perm import random_element
 
 
 def _report(name, ok, extra=""):
@@ -202,8 +203,8 @@ def test_criterion_5_criterion_equivalence():
         chain = bsgs(spec.gens, dom, seed=0, target_order=spec.expected_order)
         order_g = chain.order()
         for _ in range(9):
-            gens_h = [chain.random_element(rng) for _ in range(rng.randrange(1, 3))]
-            gens_k = [chain.random_element(rng) for _ in range(rng.randrange(1, 3))]
+            gens_h = [random_element(chain, rng) for _ in range(rng.randrange(1, 3))]
+            gens_k = [random_element(chain, rng) for _ in range(rng.randrange(1, 3))]
             H = bsgs_from_perms(gens_h, dom.size)
             K = bsgs_from_perms(gens_k, dom.size)
             n_int = len(enumerate_and_sift(H, K))
@@ -256,7 +257,7 @@ def test_criterion_6_solvable_residual():
     orders = set()
     for trial in range(10):
         while True:
-            pergens = [chain.random_element(rng) for _ in range(3)]
+            pergens = [random_element(chain, rng) for _ in range(3)]
             from factorlab.perm import StabChain
 
             if StabChain(pergens, dom.size, seed=trial).order() == 720:

@@ -2,15 +2,17 @@
 `check-triple` on the Sp_6(3) = Sp_2(27) . P_1 triple at seed 0 are
 byte-identical to the copies under tests/data/, and the `sweep --tier a`
 report hashes to the sha256 digest kept there, as do the family orders of
-`classical_order` over a fixed grid.  A faster path or a new layout must not
-change what is certified; these files pin it on every run.
+`classical_order` over a fixed grid and the stabilizer chains that
+`check-triple` and the TIER-B sweep build.  A faster path or a new layout
+must not change what is certified; these files pin it on every run.
 `tools/write_golden.py` writes the copies with the calls in GOLDEN."""
 
 import hashlib
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
-from factorlab import cli, shapes
+from factorlab import cli, shapes, verify
 from factorlab.construct import ext_field_subgroup, gens_classical, parabolic_p1_sp_residual
 from factorlab.errors import FactorLabError
 
@@ -73,6 +75,41 @@ def check_triple(out, workdir, seed):
                      "--out", str(out)])
 
 
+@contextmanager
+def _chains_built_by(module, name, chains):
+    """Append to chains every chain that module.name returns meanwhile."""
+    build = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        chain = build(*args, **kwargs)
+        chains.append(chain)
+        return chain
+
+    setattr(module, name, spy)
+    try:
+        yield
+    finally:
+        setattr(module, name, build)
+
+
+def stab_chains_digest(out, workdir, seed):
+    """The sha256 hex digest of the base points and the strong generators,
+    level by level, of every chain that `check-triple` on the Sp_6(3) triple
+    (G, H, K) and `sweep --tier b` (each case's H and, on the sift route,
+    K) build, at seeds 0 and 1."""
+    chains = []
+    for run_seed in (0, 1):
+        with _chains_built_by(cli, "bsgs", chains):
+            assert check_triple(workdir / "triple.json", workdir, run_seed) == 0
+        with _chains_built_by(verify, "_build_chain", chains):
+            assert sweep_tier_b(workdir / "tier_b.json", workdir, run_seed) == 0
+    digest = hashlib.sha256()
+    for chain in chains:
+        digest.update(repr([(lvl.base, lvl.gens) for lvl in chain.levels]).encode())
+    out.write_text(f"{len(chains)} chains {digest.hexdigest()}\n")
+    return 0
+
+
 # golden file -> (writer, seed); a writer returns the command's exit code, and
 # a seed of None marks a file that no seed changes
 GOLDEN = {
@@ -81,6 +118,7 @@ GOLDEN = {
     "check_triple_sp6q3_seed0.json": (check_triple, 0),
     "sweep_tier_a_seed0.sha256": (sweep_tier_a_digest, 0),
     "family_orders.sha256": (family_orders_digest, None),
+    "stab_chains.sha256": (stab_chains_digest, None),
 }
 
 
@@ -109,3 +147,7 @@ def test_tier_a_sweep_report_is_unchanged(tmp_path):
 
 def test_family_orders_are_unchanged(tmp_path):
     _assert_unchanged("family_orders.sha256", tmp_path)
+
+
+def test_stab_chains_are_unchanged(tmp_path):
+    _assert_unchanged("stab_chains.sha256", tmp_path)

@@ -263,12 +263,16 @@ def cmd_check_triple(args):
     for g in gH + gK:
         if not chainG.contains(dom.perm_of(g)):
             raise NotSubgroup("H and K generators must sift into G")
+    # only G's order is needed from here on; freeing its chain lowers the
+    # peak, which H's transversal sets during the enumeration
+    order_g = chainG.order()
+    del chainG
     chainH = bsgs(gH, dom, seed=args.seed)
     chainK = bsgs(gK, dom, seed=args.seed)
     n_int = len(enumerate_and_sift(chainH, chainK, caps["max_enum"]))
-    holds = chainH.order() * chainK.order() == chainG.order() * n_int
+    holds = chainH.order() * chainK.order() == order_g * n_int
     payload = {
-        "orderG": str(chainG.order()),
+        "orderG": str(order_g),
         "orderH": str(chainH.order()),
         "orderK": str(chainK.order()),
         "orderInt": str(n_int),

@@ -42,7 +42,13 @@ element u_p, once built, stays valid.  Sifts and Schreier generators never
 form u_p or u_p^-1: they extend a word by the generators on the tree path
 from the base down to p, or by their inverses on the way back up (Schreier
 vectors), with one inverse per generator shared by all levels of the chain.
-Only enumeration and coset keys build and keep whole transversal elements.
+A level keeps each point's inverse word once built: the inverse of the last
+edge, then the parent's kept word, so it holds one reference per edge and no
+permutation of its own, and stays valid as the tree grows.  A word that
+passes every level fixes every base point of the chain, so with a known base
+a sift follows only the known-base points that are not base points, and none
+when the chain's bases cover the known base.  Only enumeration and coset
+keys build and keep whole transversal elements.
 """
 
 from __future__ import annotations
@@ -485,19 +491,21 @@ class _Level:
 
     tree (also named orbit) maps every orbit point, in the order found, to
     (parent, index of the generator that reached it); the base maps to None.
-    The tree only grows: add_gen keeps every entry, so tree paths and the
-    transversal elements rep builds stay valid.  gen_invs lists the inverses
-    of gens, taken from invs, the generator inverses of the whole chain,
-    shared by its levels.
+    The tree only grows: add_gen keeps every entry, so tree paths, the
+    inverse path words path_inv keeps and the transversal elements rep
+    builds stay valid.  gen_invs lists the inverses of gens, taken from invs,
+    the generator inverses of the whole chain, shared by its levels; a kept
+    word holds references to them, one per tree edge, not a permutation.
     """
 
-    __slots__ = ("base", "gens", "gen_invs", "orbit", "tree", "invs", "_reps")
+    __slots__ = ("base", "gens", "gen_invs", "orbit", "tree", "invs", "_path_invs", "_reps")
 
     def __init__(self, base, invs):
         self.base = base
         self.gens, self.gen_invs = [], []
         self.tree = self.orbit = {base: None}
         self.invs = invs
+        self._path_invs = {base: []}
         self._reps = {base: None}
 
     def add_gen(self, g):
@@ -515,24 +523,31 @@ class _Level:
                 new.append(y)
         _grow(tree, new, [h.__getitem__ for h in self.gens])
 
-    def _edges(self, point):
-        # the generator indices on the tree path from point up to the base
-        out, edge = [], self.tree[point]
-        while edge is not None:
-            point, i = edge
-            out.append(i)
-            edge = self.tree[point]
-        return out
-
     def path(self, point):
         """The generators on the tree path from the base down to point: a word
         whose product is rep(point)."""
-        return [self.gens[i] for i in reversed(self._edges(point))]
+        out, edge = [], self.tree[point]
+        while edge is not None:
+            point, i = edge
+            out.append(self.gens[i])
+            edge = self.tree[point]
+        out.reverse()
+        return out
 
     def path_inv(self, point):
         """Their inverses from point back up to the base: a word whose product
-        is rep(point)^-1.  Both words are empty for the base."""
-        return [self.gen_invs[i] for i in self._edges(point)]
+        is rep(point)^-1.  Both words are empty for the base.  The word is
+        kept once built, as the inverse of the last edge followed by its
+        parent's kept word; callers must not mutate it."""
+        kept = self._path_invs
+        path = []
+        while point not in kept:
+            path.append(point)
+            point = self.tree[point][0]
+        word = kept[point]
+        for x in reversed(path):
+            word = kept[x] = [self.gen_invs[self.tree[x][1]], *word]
+        return word
 
     def rep(self, point):
         """The transversal element u with base^u = point (None for the base),
@@ -553,14 +568,16 @@ class StabChain:
 
     known_base, when given, lists points that only the identity of the
     ambient group fixes; every permutation the chain is built from or asked
-    about must then lie in that group (Domain.known_base).
+    about must then lie in that group (Domain.known_base).  _known_rest
+    lists the known-base points that are not base points of the chain, the
+    only ones a sift still has to follow.
     """
 
     def __init__(self, gens, n_points, seed=0, target_order=None, known_base=None):
         self.n = n_points
         self.gens = [g for g in gens if not is_identity(g)]
         self.seed = seed
-        self.known_base = known_base
+        self._known_rest = None if known_base is None else list(known_base)
         self.levels = []
         self._invs = {}
         self._rng = random.Random(seed * 1000003 + n_points * 101 + len(self.gens))
@@ -576,6 +593,8 @@ class StabChain:
             if base is None:
                 return False
             self.levels.append(_Level(base, self._invs))
+            if self._known_rest is not None and base in self._known_rest:
+                self._known_rest.remove(base)
         for lvl in self.levels[: level_idx + 1]:
             lvl.add_gen(g)
         return True
@@ -585,11 +604,14 @@ class StabChain:
 
         word is a list of permutations, applied left to right; its product
         must fix the first start base points.  Returns (residue, level): the
-        residue is word extended, level by level, by the generator inverses
-        on the tree path from the base point's image up to the base, and level
-        is None when the product is in the group, else the first depth the
-        residue fails at.  No product is formed when the chain has a known
-        base: the verdict follows base points through the word.
+        residue is a copy of word extended, level by level, by the kept word
+        of generator inverses on the tree path from the base point's image up
+        to the base, and level is None when the product is in the group, else
+        the first depth the residue fails at.  A residue that passes every
+        level fixes every base point of the chain, since the words of a level
+        fix the earlier base points.  So with a known base no product is
+        formed: the verdict follows only the known-base points that are not
+        chain base points through the word, and none when there are none.
         """
         word = list(word)
         levels = self.levels
@@ -601,10 +623,10 @@ class StabChain:
             if img not in lvl.orbit:
                 return word, i
             word.extend(lvl.path_inv(img))
-        if self.known_base is None:
+        if self._known_rest is None:
             member = is_identity(_product(word, self.n))
         else:
-            member = all(_image(x, word) == x for x in self.known_base)
+            member = all(_image(x, word) == x for x in self._known_rest)
         return word, (None if member else len(levels))
 
     def contains(self, g):

@@ -367,7 +367,11 @@ class _Parser:
                         f"{name} takes {arity} argument(s), found {len(args)}", t[2])
                 primed = False
                 if self.peek()[:2] == ("sym", "'"):
-                    self.next()
+                    prime = self.next()
+                    if name not in _PRIMED_FAMILIES:
+                        only = ", ".join(sorted(_PRIMED_FAMILIES))
+                        raise ShapeSyntaxError(
+                            f"no PRIMED row defines {name}'; only {only} take a '", prime[2])
                     primed = True
                 return ("family", name, primed, *args)
             if name == "q" or (len(name) <= 2 and name.islower()):
@@ -527,6 +531,10 @@ FAMILIES = {**_BY_N_Q, **_BY_Q, "D": _BY_DEGREE["D"]}
 # the proper derived subgroups among the rows: (name, *args) -> index
 PRIMED = {("SL", 2, 2): 2, ("SL", 2, 3): 3, ("Sp", 2, 2): 2, ("Sp", 2, 3): 3,
           ("Sp", 4, 2): 2, ("G2", 2): 2, ("TwoG2", 3): 3, ("Sz", 2): 4}
+
+# the families a shape may prime; a ' on any other is a syntax error, since
+# its derived subgroup may be proper where no row says so (GL(3,3)')
+_PRIMED_FAMILIES = {name for name, *_ in PRIMED}
 
 
 def classical_order(family: str, *args, primed: bool = False) -> int:

@@ -215,6 +215,8 @@ DELETE = object()  # a database value that deletes its key
     ("T1.1a", ("shapes", "H"), "z^2:SL(2,q)"),  # an undeclared symbol, as in where
     ("T1.1c", ("shapes", "H"), "G2(q^b,2)'"),  # G2 takes one argument
     ("T8.1a", ("tier_b", "K"), DELETE),  # the sift route reads K
+    ("T1.1a", ("shapes", "H"), "GL(3,3)'"),  # no PRIMED row defines either '
+    ("T1.1a", ("shapes", "K"), "Omega+(4,2)'"),
 ])
 def test_bad_database_record_is_a_one_line_usage_error(capsys, tmp_path, rid, path, value):
     from factorlab.tables import default_db_path

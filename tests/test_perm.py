@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from factorlab.construct import frobenius_elem, gens_classical
+from factorlab.construct import ext_field_subgroup, frobenius_elem, gens_classical
 from factorlab.errors import CapExceeded, VerificationFailed
 from factorlab.gf import FieldSpec
 from factorlab.linalg import GroupElem, MatF, SpaceFrame
@@ -29,11 +29,13 @@ from factorlab.perm import (
 )
 
 
-def random_element(chain, rng):
+def random_element(chain, rng, first=0):
     """An element of chain's group: one transversal element per level, each
-    level's orbit point drawn by rng, multiplied from the first level on."""
+    level's orbit point drawn by rng, multiplied from the first level on.
+    With first > 0 the levels before it are skipped, so the element fixes
+    their base points."""
     g = None
-    for lvl in chain.levels:
+    for lvl in chain.levels[first:]:
         u = lvl.rep(rng.choice(list(lvl.orbit)))
         if u is not None:
             g = list(u) if g is None else compose(g, u)
@@ -418,6 +420,13 @@ def _check_level(lvl):
             n = len(u)
             assert u[lvl.base] == p and _product(path, n) == u
             assert is_identity(compose(u, _product(path_inv, n)))
+        # the kept inverse word, possibly built before the tree last grew, is
+        # still the tree path's: the same generator inverses, by identity
+        fresh, x = [], p
+        while lvl.tree[x] is not None:
+            x, i = lvl.tree[x]
+            fresh.append(lvl.gen_invs[i])
+        assert len(path_inv) == len(fresh) and all(a is b for a, b in zip(path_inv, fresh))
 
 
 @pytest.mark.parametrize("fam,n,q", SUBGROUP_FRAMES)
@@ -476,3 +485,32 @@ def test_an_untargeted_chain_sifts_without_kept_transversals():
         tracemalloc.stop()
     assert chain.order() == 9170703360
     assert peak <= 2 * 2 ** 20
+
+
+def test_a_sift_follows_only_the_known_base_points_no_level_fixes():
+    # on the Sp_6(3) triple, G's bases are the whole known base e_1..e_6, so
+    # its verdicts follow no point; H's bases are e_2 and e_1, so an element
+    # passing both of H's levels is told from the identity by e_3..e_6 alone
+    G = gens_classical("Sp", 6, 3)
+    H, _, _ = ext_field_subgroup("Sp", 1, 3, 3)
+    dom = nonzero_vectors(G.frame)
+    chainG, chainH = bsgs(G.gens, dom), bsgs(H.gens, dom)
+    assert sorted(lvl.base for lvl in chainG.levels) == sorted(dom.known_base)
+    assert chainG._known_rest == []
+    assert [lvl.base for lvl in chainH.levels] == [2, 0]
+    assert chainH._known_rest == [8, 26, 80, 242]
+    plain = StabChain(dom.perms_of(H.gens), dom.size)
+    assert _levels(plain) == _levels(chainH)
+    rng = random.Random(7)
+    # G's first two bases are H's, so its deeper levels give elements that
+    # fix both of them
+    assert [lvl.base for lvl in chainG.levels[:2]] == [2, 0]
+    samples = [random_element(chainG, rng) for _ in range(150)]
+    samples += [random_element(chainG, rng, first=2) for _ in range(50)]
+    samples += [random_element(chainH, rng) for _ in range(50)]
+    fixing = [g for g in samples if g[2] == 2 and g[0] == 0 and not is_identity(g)]
+    assert len(fixing) >= 45
+    verdicts = [chainH.contains(g) for g in samples]
+    assert verdicts == [plain.contains(g) for g in samples]
+    assert verdicts.count(True) >= 50 and not any(chainH.contains(g) for g in fixing)
+    assert all(chainG.contains(g) for g in samples)

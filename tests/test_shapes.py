@@ -117,6 +117,18 @@ def test_nonintegral_quotient():
         order_of("q^(a-2):SL(2,q)", {"q": 2, "a": 1})
 
 
+def test_a_prime_reads_only_on_a_primed_family():
+    # GL(3,3)' is SL(3,3) of order 5,616 and Omega+(4,2)' has order 9, but no
+    # row says so; a ' there would read the unprimed 11,232 and 36
+    for text, pos in (("GL(3,3)'", 7), ("Omega+(4,2)'", 11), ("q^2:GL(2,q)'", 11)):
+        with pytest.raises(ShapeSyntaxError, match="no PRIMED row defines") as info:
+            parse_shape(text)
+        assert info.value.pos == pos
+    assert order_of("Sp(4,2)'", {}) == 360
+    assert order_of("Sp(6,2)'", {}) == classical_order("Sp", 6, 2)
+    assert order_of("G2(q)'", {"q": 2}) == 6048
+
+
 def test_classical_orders_known_values():
     assert classical_order("SL", 4, 2) == 20160
     assert classical_order("SU", 4, 2) == 25920

@@ -31,7 +31,9 @@ _OPTIONS = {
     "--row": dict(type=int, help="restrict to one row"),
     "--sub": dict(help="restrict to one sub-row (a, b, ...)"),
     "--db": dict(help="path of the tables DB (default: bundled)"),
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=int, default=0,
+                   help="no computation reads it; verify and sweep record it in each "
+                        "report's seed field"),
     "--format": dict(choices=["text", "json"], default="text"),
     "--out": dict(help="write the report here instead of stdout"),
     "--max-order": dict(default=DEFAULT_CAPS["max_order"],
@@ -259,7 +261,7 @@ def cmd_check_triple(args):
         raise FieldMismatch("the three generator files must share a field and dimension")
     frame = SpaceFrame(fG, nG, None, tuple(f"v{i+1}" for i in range(nG)))
     dom = nonzero_vectors(frame, caps["max_domain"])
-    chainG = bsgs(gG, dom, seed=args.seed)
+    chainG = bsgs(gG, dom)
     for g in gH + gK:
         if not chainG.contains(dom.perm_of(g)):
             raise NotSubgroup("H and K generators must sift into G")
@@ -267,8 +269,8 @@ def cmd_check_triple(args):
     # peak, which H's transversal sets during the enumeration
     order_g = chainG.order()
     del chainG
-    chainH = bsgs(gH, dom, seed=args.seed)
-    chainK = bsgs(gK, dom, seed=args.seed)
+    chainH = bsgs(gH, dom)
+    chainK = bsgs(gK, dom)
     n_int = len(enumerate_and_sift(chainH, chainK, caps["max_enum"]))
     holds = chainH.order() * chainK.order() == order_g * n_int
     payload = {

@@ -58,7 +58,7 @@ class GroupPresentationSpec:
     expected_order: int
     name: str = ""
 
-    def validate(self, seed=0, order_cap=10 ** 9):
+    def validate(self, order_cap=10 ** 9):
         """Gate-check: isometry/Omega membership always, BSGS order when small."""
         form = self.frame.form
         for g in self.gens:
@@ -69,7 +69,7 @@ class GroupPresentationSpec:
                     raise VerificationFailed(f"{self.name or self.family}: generator outside Omega")
         if self.expected_order <= order_cap:
             dom = nonzero_vectors(self.frame)
-            return bsgs(self.gens, dom, seed=seed, target_order=self.expected_order)
+            return bsgs(self.gens, dom, target_order=self.expected_order)
         return None
 
 

@@ -36,24 +36,25 @@ nonzero vectors: e_1..e_n and, over a proper extension of GF(p), x e_1);
 then a word of group elements that sifts through every level is the
 identity exactly when it fixes those few points.
 
-A stabilizer chain level keeps a Schreier tree of its base point's orbit.
-The tree grows in place when a strong generator arrives, so a transversal
-element u_p, once built, stays valid.  Sifts and Schreier generators never
-form u_p or u_p^-1: they extend a word by the generators on the tree path
-from the base down to p, or by their inverses on the way back up (Schreier
-vectors), with one inverse per generator shared by all levels of the chain.
-A level keeps each point's inverse word once built: the inverse of the last
-edge, then the parent's kept word, so it holds one reference per edge and no
-permutation of its own, and stays valid as the tree grows.  A word that
-passes every level fixes every base point of the chain, so with a known base
-a sift follows only the known-base points that are not base points, and none
-when the chain's bases cover the known base.  Only enumeration and coset
-keys build and keep whole transversal elements.
+Every stabilizer chain is built by one deterministic Schreier-Sims, and no
+seed reaches it; a normal closure grows one chain in place.  A chain level
+keeps a Schreier tree of its base point's orbit.  The tree grows in place
+when a strong generator arrives, so a transversal element u_p, once built,
+stays valid.  Sifts and Schreier generators never form u_p or u_p^-1: they
+extend a word by the generators on the tree path from the base down to p, or
+by their inverses on the way back up (Schreier vectors), with one inverse
+per generator shared by all levels of the chain.  A level keeps each point's
+inverse word once built: the inverse of the last edge, then the parent's
+kept word, so it holds one reference per edge and no permutation of its own,
+and stays valid as the tree grows.  A word that passes every level fixes
+every base point of the chain, so with a known base a sift follows only the
+known-base points that are not base points, and none when the chain's bases
+cover the known base.  Only enumeration and coset keys build and keep whole
+transversal elements.
 """
 
 from __future__ import annotations
 
-import random
 from array import array
 from collections import deque
 from itertools import product
@@ -564,7 +565,11 @@ class _Level:
 
 
 class StabChain:
-    """Base and strong generating set for a permutation group.
+    """Base and strong generating set for a permutation group: the input
+    generators are sifted in, then every Schreier generator (Seress 2003,
+    4.2).  With target_order the closure stops once the order equals it, so
+    the order is only a lower bound (ROADMAP item 1), and another order
+    raises VerificationFailed; without it the order is proven.
 
     known_base, when given, lists points that only the identity of the
     ambient group fixes; every permutation the chain is built from or asked
@@ -573,15 +578,16 @@ class StabChain:
     only ones a sift still has to follow.
     """
 
-    def __init__(self, gens, n_points, seed=0, target_order=None, known_base=None):
+    def __init__(self, gens, n_points, target_order=None, known_base=None):
         self.n = n_points
-        self.gens = [g for g in gens if not is_identity(g)]
-        self.seed = seed
         self._known_rest = None if known_base is None else list(known_base)
         self.levels = []
         self._invs = {}
-        self._rng = random.Random(seed * 1000003 + n_points * 101 + len(self.gens))
-        self._build(target_order)
+        for g in gens:
+            self._absorb([g])
+        self._schreier_closure(target_order)
+        if target_order not in (None, self.order()):
+            raise VerificationFailed(f"order {self.order()}, target {target_order}")
 
     # construction ---------------------------------------------------------
 
@@ -590,14 +596,11 @@ class StabChain:
         so it belongs to the generating sets of levels 0..level_idx."""
         if level_idx == len(self.levels):
             base = _longest_cycle_point(g)
-            if base is None:
-                return False
             self.levels.append(_Level(base, self._invs))
             if self._known_rest is not None and base in self._known_rest:
                 self._known_rest.remove(base)
         for lvl in self.levels[: level_idx + 1]:
             lvl.add_gen(g)
-        return True
 
     def _sift(self, word, start=0):
         """Sift the product of word through the levels from start on.
@@ -652,56 +655,12 @@ class StabChain:
         self._add_gen(idx, cur)
         return True
 
-    def _random_word(self):
-        k = self._rng.randrange(2, 6)
-        word = []
-        pool = self.gens
-        for _ in range(k):
-            g = pool[self._rng.randrange(len(pool))]
-            if self._rng.random() < 0.5:
-                g = _inverse_of(self._invs, g)
-            word.append(g)
-        return word
-
-    def _build(self, target_order):
-        if not self.gens:
-            if target_order not in (None, 1):
-                raise VerificationFailed(f"order 1, target {target_order}")
-            return
-        for g in self.gens:
-            self._absorb([g])
-        if target_order is not None:
-            attempts = 0
-            accum = [list(g) for g in self.gens[: max(3, min(len(self.gens), 8))]]
-            while self.order() != target_order:
-                attempts += 1
-                if attempts > 20000:
-                    raise VerificationFailed(
-                        f"order stalled at {self.order()}, target {target_order}"
-                    )
-                # product replacement step
-                i = self._rng.randrange(len(accum))
-                j = self._rng.randrange(len(self.gens))
-                g = self.gens[j]
-                if self._rng.random() < 0.5:
-                    g = _inverse_of(self._invs, g)
-                accum[i] = compose(accum[i], g)
-                self._absorb([accum[i]])
-                if self.order() > target_order:
-                    raise VerificationFailed(
-                        f"order {self.order()} exceeds target {target_order}"
-                    )
-            return
-        # no target: randomized warm-up, then a full deterministic pass
-        for _ in range(20 + 4 * len(self.gens)):
-            self._absorb(self._random_word())
-        self._schreier_closure()
-
-    def _schreier_closure(self):
+    def _schreier_closure(self, target_order=None):
         """Sift every Schreier generator u_p g u_(p^g)^-1 of every level below
-        that level until none adds a strong generator; each is the word of
-        tree edges path(p) + [g] + path_inv(p^g)."""
-        changed = True
+        that level until none adds a strong generator, or until the order
+        equals target_order; each is the word of tree edges
+        path(p) + [g] + path_inv(p^g)."""
+        changed = self.order() != target_order
         while changed:
             changed = False
             for i in range(len(self.levels) - 1, -1, -1):
@@ -714,6 +673,8 @@ class StabChain:
                         if tree[pg] == (p, j):
                             continue            # a tree edge: u_p g = u_(p^g)
                         if self._absorb(up + [g] + lvl.path_inv(pg), i + 1):
+                            if self.order() == target_order:
+                                return
                             changed = True
 
     # derived data ----------------------------------------------------------
@@ -771,14 +732,13 @@ class StabChain:
         return tuple(cur)
 
 
-def bsgs(gens, dom: Domain, seed=0, target_order=None) -> StabChain:
+def bsgs(gens, dom: Domain, target_order=None) -> StabChain:
     """Certified stabilizer chain for GroupElem generators acting on dom."""
     perms = dom.perms_of(gens)
     for g, p in zip(gens, perms):
         if is_identity(p) and not g.is_identity():
             raise NotFaithful("a nontrivial generator acts trivially")
-    return StabChain(perms, dom.size, seed=seed, target_order=target_order,
-                     known_base=dom.known_base)
+    return StabChain(perms, dom.size, target_order=target_order, known_base=dom.known_base)
 
 
 def enumerate_and_sift(H: StabChain, K: StabChain, cap=DEFAULT_ENUM_CAP) -> list:
@@ -790,19 +750,18 @@ def enumerate_and_sift(H: StabChain, K: StabChain, cap=DEFAULT_ENUM_CAP) -> list
     return [_product(word, H.n) for word in H.words(cap) if K._sift(word)[1] is None]
 
 
-def normal_closure(seeds, conjugators, n_points, seed=0, cap=DEFAULT_ENUM_CAP,
-                   known_base=None):
-    """Chain for the normal closure of seeds under the given conjugators."""
-    gens = []
-    chain = StabChain([], n_points, seed=seed, known_base=known_base)
-    queue = [list(s) for s in seeds if not is_identity(s)]
+def normal_closure(seeds, conjugators, n_points, cap=DEFAULT_ENUM_CAP, known_base=None):
+    """Chain for the normal closure of seeds under the given conjugators,
+    grown in place: each conjugate not yet in the chain is absorbed, and the
+    chain closed again."""
+    chain = StabChain([], n_points, known_base=known_base)
+    queue = list(seeds)
     conj_pairs = [(list(c), inverse(c)) for c in conjugators]
     while queue:
         g = queue.pop()
-        if chain.contains(g):
+        if not chain._absorb([g]):
             continue
-        gens.append(g)
-        chain = StabChain(gens, n_points, seed=seed, known_base=known_base)
+        chain._schreier_closure()
         if chain.order() > cap:
             raise CapExceeded("normal closure exceeded the enumeration cap")
         for c, ci in conj_pairs:
@@ -810,26 +769,24 @@ def normal_closure(seeds, conjugators, n_points, seed=0, cap=DEFAULT_ENUM_CAP,
     return chain
 
 
-def derived_chain(gens_perms, n_points, seed=0, cap=DEFAULT_ENUM_CAP, known_base=None):
+def derived_chain(gens_perms, n_points, cap=DEFAULT_ENUM_CAP, known_base=None):
     """Chain for the derived subgroup of the group generated by gens_perms."""
     comms = []
     for i, a in enumerate(gens_perms):
         ai = inverse(a)
         for b in gens_perms[i + 1 :]:
-            c = compose(compose(ai, inverse(b)), compose(a, b))
-            if not is_identity(c):
-                comms.append(c)
-    return normal_closure(comms, gens_perms, n_points, seed=seed, cap=cap,
-                          known_base=known_base)
+            comms.append(compose(compose(ai, inverse(b)), compose(a, b)))
+    return normal_closure(comms, gens_perms, n_points, cap=cap, known_base=known_base)
 
 
-def solvable_residual(gens, dom: Domain, seed=0, cap=DEFAULT_ENUM_CAP) -> StabChain:
+def solvable_residual(gens, dom: Domain, cap=DEFAULT_ENUM_CAP) -> StabChain:
     """Chain for the last term of the derived series of <gens>; gens are
-    GroupElems acting on dom or permutations of its points."""
+    GroupElems acting on dom or permutations of its points.  The series
+    stops at a term that is trivial or contains every generator of the term
+    before it, which is then equal to it."""
     perms = [dom.perm_of(g) if isinstance(g, GroupElem) else g for g in gens]
-    chain = StabChain(perms, dom.size, seed=seed, known_base=dom.known_base)
     while True:
-        nxt = derived_chain(perms, dom.size, seed=seed, cap=cap, known_base=dom.known_base)
-        if nxt.order() in (chain.order(), 1):
+        nxt = derived_chain(perms, dom.size, cap=cap, known_base=dom.known_base)
+        if nxt.order() == 1 or all(map(nxt.contains, perms)):
             return nxt
-        chain, perms = nxt, nxt.strong_gens()
+        perms = nxt.strong_gens()

@@ -46,7 +46,7 @@ class VerificationReport:
 
     def to_json(self):
         # elapsed_ms is intentionally left out: JSON reports are specified to
-        # be byte-identical across runs with the same seed
+        # be byte-identical across runs; the seed is recorded, never read
         return {
             "case": self.case_id,
             "tier": self.tier,
@@ -127,10 +127,10 @@ def _build_group(desc, bindings):
     return getattr(construct, builder)(*args), role == "residual"
 
 
-def _build_chain(spec, residual, dom, seed, caps):
+def _build_chain(spec, residual, dom, caps):
     if residual:
-        return solvable_residual(spec.gens, dom, seed=seed, cap=caps["max_enum"])
-    return bsgs(spec.gens, dom, seed=seed, target_order=spec.expected_order)
+        return solvable_residual(spec.gens, dom, cap=caps["max_enum"])
+    return bsgs(spec.gens, dom, target_order=spec.expected_order)
 
 
 def _build_domain(desc, frame, bindings, ambient, cap):
@@ -184,12 +184,12 @@ def verify_tier_b(case: ConcreteCase, seed=0, caps=None) -> VerificationReport:
         chain_dom = dom
         if dom.size >= spec_h.frame.field.q ** spec_h.frame.n:
             chain_dom = perm.nonzero_vectors(spec_h.frame, caps["max_domain"], dom.tables)
-        h_chain = _build_chain(spec_h, residual, chain_dom, seed, caps)
+        h_chain = _build_chain(spec_h, residual, chain_dom, caps)
         facts["orderH"] = h_chain.order()
         _require(facts["orderH"] == exp["orderH"], "construction: |H| mismatch")
         facts["orderG"], facts["orderK"] = exp["orderG"], exp["orderK"]
         ROUTES[tb["route"]](facts, exp, tb=tb, bnd=bnd, spec_h=spec_h, h_chain=h_chain,
-                            dom=dom, chain_dom=chain_dom, seed=seed, caps=caps)
+                            dom=dom, chain_dom=chain_dom, caps=caps)
         _require(facts["orderInt"] == exp["orderInt"], "|H meet K| mismatch")
         _require(facts["orderH"] * exp["orderK"] == exp["orderG"] * facts["orderInt"],
                  "order identity fails")
@@ -225,16 +225,16 @@ def _stab_facts(facts, exp, *, spec_h, dom, **_):
     facts["orderInt"] = facts["orderH"] // index
 
 
-def _sift_facts(facts, exp, *, tb, bnd, h_chain, chain_dom, seed, caps, **_):
+def _sift_facts(facts, exp, *, tb, bnd, h_chain, chain_dom, caps, **_):
     """|K| by its own chain, H meet K by enumerate-and-sift, then the
     criterion (f) cross-check on the cosets of K."""
-    k_chain = _build_chain(*_build_group(tb["K"], bnd), chain_dom, seed, caps)
+    k_chain = _build_chain(*_build_group(tb["K"], bnd), chain_dom, caps)
     facts["orderK"] = k_chain.order()
     _require(facts["orderK"] == exp["orderK"], "construction: |K| mismatch")
     inter = enumerate_and_sift(h_chain, k_chain, caps["max_enum"])
     facts["orderInt"] = len(inter)
     if "residual_int" in tb:
-        res = solvable_residual(inter, chain_dom, seed=seed, cap=caps["max_enum"])
+        res = solvable_residual(inter, chain_dom, cap=caps["max_enum"])
         facts["residualOrderInt"] = res.order()
         _require(res.order() == tb["residual_int"],
                  "solvable residual of the intersection mismatch")

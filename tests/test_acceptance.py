@@ -96,7 +96,7 @@ def test_criterion_2_order_oracle():
         expected = classical_order(fam, n, q)
         assert expected <= 10 ** 9, (fam, n, q)
         spec = gens_classical(fam, n, q)
-        chain = spec.validate(seed=0)
+        chain = spec.validate()
         assert chain.order() == expected, (fam, n, q)
         checked += 1
     # SigmaL_2(4) = SL_2(4) with the Frobenius adjoined, order 120
@@ -107,7 +107,7 @@ def test_criterion_2_order_oracle():
     from factorlab.construct import classical_frame
 
     dom = nonzero_vectors(classical_frame("SL", 4, 2))
-    assert bsgs(big, dom, seed=0, target_order=120).order() == 120 == classical_order("SigmaL", 2, 4)
+    assert bsgs(big, dom, target_order=120).order() == 120 == classical_order("SigmaL", 2, 4)
     checked += 1
     must_include = {1451520, 25920, 174182400, 120}
     seen = {classical_order(f, n, q) for f, n, q in ORACLE_GROUPS} | {120}
@@ -200,7 +200,7 @@ def test_criterion_5_criterion_equivalence():
         spec = gens_classical(fam, n, q)
         assert spec.expected_order <= 10 ** 5
         dom = nonzero_vectors(spec.frame)
-        chain = bsgs(spec.gens, dom, seed=0, target_order=spec.expected_order)
+        chain = bsgs(spec.gens, dom, target_order=spec.expected_order)
         order_g = chain.order()
         for _ in range(9):
             gens_h = [random_element(chain, rng) for _ in range(rng.randrange(1, 3))]
@@ -224,7 +224,7 @@ def test_criterion_5_criterion_equivalence():
 def bsgs_from_perms(perms, n):
     from factorlab.perm import StabChain
 
-    return StabChain(perms, n, seed=0)
+    return StabChain(perms, n)
 
 
 # -- criterion 6: solvable residual ----------------------------------------------
@@ -234,7 +234,7 @@ def test_criterion_6_solvable_residual():
     t0 = time.time()
     sp42 = gens_classical("Sp", 4, 2)
     dom = nonzero_vectors(sp42.frame)
-    res = solvable_residual(sp42.gens, dom, seed=0)
+    res = solvable_residual(sp42.gens, dom)
     assert res.order() == 360
     # a solvable input: the Borel subgroup of SL_2(8) with the Frobenius
     F2 = FieldSpec.get(2)
@@ -250,19 +250,19 @@ def test_criterion_6_solvable_residual():
     from factorlab.construct import classical_frame
 
     dom8 = nonzero_vectors(classical_frame("SL", 2, 8))
-    assert solvable_residual(borel, dom8, seed=0).order() == 1
+    assert solvable_residual(borel, dom8).order() == 1
     # generator-set invariance under 10 regenerations
-    chain = bsgs(sp42.gens, dom, seed=0, target_order=720)
+    chain = bsgs(sp42.gens, dom, target_order=720)
     rng = random.Random(99)
     orders = set()
-    for trial in range(10):
+    for _ in range(10):
         while True:
             pergens = [random_element(chain, rng) for _ in range(3)]
             from factorlab.perm import StabChain
 
-            if StabChain(pergens, dom.size, seed=trial).order() == 720:
+            if StabChain(pergens, dom.size).order() == 720:
                 break
-        orders.add(solvable_residual(pergens, dom, seed=trial).order())
+        orders.add(solvable_residual(pergens, dom).order())
     elapsed = time.time() - t0
     _report(
         "criterion 6: solvable residual (360 for Sp_4(2); trivial for solvable; "

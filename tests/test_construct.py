@@ -46,7 +46,7 @@ from test_acceptance import ORACLE_GROUPS
 def test_gens_classical_orders(family, n, q, expected):
     spec = gens_classical(family, n, q)
     assert spec.expected_order == expected == classical_order(family, n, q)
-    chain = spec.validate(seed=0)
+    chain = spec.validate()
     assert chain is not None and chain.order() == expected
 
 
@@ -103,14 +103,14 @@ def test_generating_sets_generate(family, n, q):
             assert is_isometry(g, frame.form)
             if frame.form.kind == "quadratic":
                 assert in_omega(g, frame)
-    chain = bsgs(spec.gens, nonzero_vectors(frame), seed=0)
+    chain = bsgs(spec.gens, nonzero_vectors(frame))
     assert chain.order() == classical_order(family, n, q)
 
 
 @pytest.mark.parametrize("m,sign", [(5, "-"), (4, "+")])
 def test_su_in_omega_reaches_the_table_order(m, sign):
     spec = su_in_omega(m, 2, sign)
-    assert spec.validate(seed=0).order() == classical_order("SU", m, 2)
+    assert spec.validate().order() == classical_order("SU", m, 2)
 
 
 def test_blowup_scalar_is_companion_matrix():
@@ -140,10 +140,10 @@ def test_blowup_is_functorial_and_order_preserving():
     dom = nonzero_vectors(frame)
     big = [blowup_elem(g, F2) for g in sl.gens]
     assert len(orbit(big, dom.points[0], dom)) == 15
-    assert bsgs(big, dom, seed=0, target_order=60).order() == 60
+    assert bsgs(big, dom, target_order=60).order() == 60
     # adjoining the Frobenius gives SigmaL_2(4) of order 120
     sigma = blowup_elem(GroupElem(MatF.identity(F4, 2), 1), F2)
-    assert bsgs(big + [sigma], dom, seed=0, target_order=120).order() == 120
+    assert bsgs(big + [sigma], dom, target_order=120).order() == 120
 
 
 def test_unblow_roundtrip():
@@ -166,7 +166,7 @@ def test_unblow_roundtrip():
 
 def test_sp_in_su_golden_small():
     spec = sp_in_su(2, 2)
-    chain = spec.validate(seed=0)
+    chain = spec.validate()
     assert chain.order() == 720
     dom = norm_level_set(spec.frame, 1)
     assert dom.size == 120
@@ -176,7 +176,7 @@ def test_sp_in_su_golden_small():
 
 def test_su_in_omega_plus():
     spec = su_in_omega(4, 2, "+")
-    chain = spec.validate(seed=0)
+    chain = spec.validate()
     assert chain.order() == 25920
     from factorlab.perm import singular_vectors
 
@@ -193,7 +193,7 @@ def test_su_in_omega_sign_guard():
 
 def test_ext_field_sp():
     spec, inner, _ = ext_field_subgroup("Sp", 2, 2, 2)
-    chain = spec.validate(seed=0)
+    chain = spec.validate()
     assert chain.order() == classical_order("Sp", 4, 4) == 979200
     assert spec.n == 8
 
@@ -203,9 +203,9 @@ def test_parabolic_p1_residual_sp62():
     for g in spec.gens:
         assert is_isometry(g, spec.frame.form)
     dom = nonzero_vectors(spec.frame)
-    chain = bsgs(spec.gens, dom, seed=0, target_order=spec.expected_order)
+    chain = bsgs(spec.gens, dom, target_order=spec.expected_order)
     assert chain.order() == 2 ** 5 * 720
-    res = solvable_residual(spec.gens, dom, seed=0)
+    res = solvable_residual(spec.gens, dom)
     assert res.order() == residual_order == 11520
 
 
@@ -219,7 +219,7 @@ def _proven_order(spec):
             assert is_isometry(g, form)
             if form.kind == "quadratic":
                 assert in_omega(g, spec.frame)
-    return bsgs(spec.gens, nonzero_vectors(spec.frame), seed=0).order()
+    return bsgs(spec.gens, nonzero_vectors(spec.frame)).order()
 
 
 @pytest.mark.parametrize(
@@ -286,7 +286,7 @@ def test_ext_field_intersection_with_orthogonal_by_sifting():
 
     spec, inner, _ = ext_field_subgroup("Sp", 1, 3, 2)
     dom = nonzero_vectors(spec.frame)
-    h_chain = bsgs(spec.gens, dom, seed=0, target_order=504)
+    h_chain = bsgs(spec.gens, dom, target_order=504)
 
     omega = gens_classical("Omega-", 6, 2)
     dom_o = nonzero_vectors(omega.frame)
@@ -297,8 +297,8 @@ def test_ext_field_intersection_with_orthogonal_by_sifting():
         if omega.frame.form.quadratic(v)
     )
     o_gens.append(reflection(omega.frame, w))
-    k_full = bsgs(o_gens, dom_o, seed=0, target_order=2 * omega.expected_order)
-    k_omega = bsgs(omega.gens, dom_o, seed=0, target_order=omega.expected_order)
+    k_full = bsgs(o_gens, dom_o, target_order=2 * omega.expected_order)
+    k_omega = bsgs(omega.gens, dom_o, target_order=omega.expected_order)
     assert len(enumerate_and_sift(h_chain, k_full)) == 18   # O_2^-(8)
     assert len(enumerate_and_sift(h_chain, k_omega)) == 9   # Omega_2^-(8)
 
@@ -312,14 +312,14 @@ def test_omega_index_two_in_full_orthogonal():
     w = omega.frame.basis(4)  # Q(e_3) = 1 in the minus frame
     assert omega.frame.form.quadratic(w)
     full = bsgs(
-        omega.gens + [reflection(omega.frame, w)], dom, seed=0,
+        omega.gens + [reflection(omega.frame, w)], dom,
         target_order=2 * omega.expected_order,
     )
     assert full.order() == 2 * omega.expected_order
     # odd characteristic: the spinor kernel likewise has index 2 in SO
     om3 = gens_classical("OmegaOdd", 3, 3)
     dom3 = nonzero_vectors(om3.frame)
-    assert bsgs(om3.gens, dom3, seed=0).order() == 12
+    assert bsgs(om3.gens, dom3).order() == 12
     fr = om3.frame
     from itertools import product as _product
 
@@ -331,7 +331,7 @@ def test_omega_index_two_in_full_orthogonal():
             g = reflection(fr, u) * reflection(fr, v)
             if not g.is_identity():
                 pairs.append(g)
-    so = bsgs(pairs, dom3, seed=0)
+    so = bsgs(pairs, dom3)
     assert so.order() == 24  # SO_3(3), twice Omega_3(3)
 
 
@@ -340,7 +340,7 @@ def test_bsgs_invariant_under_shuffle_and_seed():
 
     spec = gens_classical("Sp", 4, 2)
     dom = nonzero_vectors(spec.frame)
-    base = bsgs(spec.gens, dom, seed=0).order()
+    base = bsgs(spec.gens, dom).order()
     shuffled = list(spec.gens)
     _r.Random(3).shuffle(shuffled)
-    assert bsgs(shuffled, dom, seed=5).order() == base == 720
+    assert bsgs(shuffled, dom).order() == base == 720

@@ -96,17 +96,21 @@ def stab_chains_digest(out, workdir, seed):
     """The sha256 hex digest of the base points and the strong generators,
     level by level, of every chain that `check-triple` on the Sp_6(3) triple
     (G, H, K) and `sweep --tier b` (each case's H and, on the sift route,
-    K) build, at seeds 0 and 1."""
-    chains = []
+    K) build, at seeds 0 and 1.  No seed reaches a chain, so both seeds
+    must build the same chains."""
+    halves = []
     for run_seed in (0, 1):
+        chains = []
         with _chains_built_by(cli, "bsgs", chains):
             assert check_triple(workdir / "triple.json", workdir, run_seed) == 0
         with _chains_built_by(verify, "_build_chain", chains):
             assert sweep_tier_b(workdir / "tier_b.json", workdir, run_seed) == 0
+        halves.append([repr([(lvl.base, lvl.gens) for lvl in chain.levels]) for chain in chains])
+    assert halves[0] == halves[1], "a seed changed a stabilizer chain"
     digest = hashlib.sha256()
-    for chain in chains:
-        digest.update(repr([(lvl.base, lvl.gens) for lvl in chain.levels]).encode())
-    out.write_text(f"{len(chains)} chains {digest.hexdigest()}\n")
+    for chain in halves[0] + halves[1]:
+        digest.update(chain.encode())
+    out.write_text(f"{len(halves[0]) + len(halves[1])} chains {digest.hexdigest()}\n")
     return 0
 
 

@@ -171,9 +171,9 @@ def chain_domains(monkeypatch):
     seen = []
     build_chain = verify._build_chain
 
-    def spy(spec, residual, dom, seed, caps):
+    def spy(spec, residual, dom, caps):
         seen.append((dom.kind, dom.size))
-        return build_chain(spec, residual, dom, seed, caps)
+        return build_chain(spec, residual, dom, caps)
 
     monkeypatch.setattr(verify, "_build_chain", spy)
     return seen

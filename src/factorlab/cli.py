@@ -265,8 +265,9 @@ def cmd_check_triple(args):
     for g in gH + gK:
         if not chainG.contains(dom.perm_of(g)):
             raise NotSubgroup("H and K generators must sift into G")
-    # only G's order is needed from here on; freeing its chain lowers the
-    # peak, which H's transversal sets during the enumeration
+    # only G's order is needed from here on; freeing its chain keeps it out
+    # of the peak, which the chains of H and K and the enumeration set (on
+    # the Sp_6(3) triple 1.13 MiB traced against 1.56 MiB when kept)
     order_g = chainG.order()
     del chainG
     chainH = bsgs(gH, dom)

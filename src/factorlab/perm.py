@@ -49,8 +49,10 @@ kept word, so it holds one reference per edge and no permutation of its own,
 and stays valid as the tree grows.  A word that passes every level fixes
 every base point of the chain, so with a known base a sift follows only the
 known-base points that are not base points, and none when the chain's bases
-cover the known base.  Only enumeration and coset keys build and keep whole
-transversal elements.
+cover the known base.  enumerate_and_sift walks H as words of tree paths too;
+only coset keys and elements() build and keep whole transversal elements.
+The closure sifts each Schreier generator once: a level counts, per orbit
+point, the generators already tested there.
 """
 
 from __future__ import annotations
@@ -497,15 +499,19 @@ class _Level:
     builds stay valid.  gen_invs lists the inverses of gens, taken from invs,
     the generator inverses of the whole chain, shared by its levels; a kept
     word holds references to them, one per tree edge, not a permutation.
+    tested maps an orbit point p to the number of generators g, taken in
+    order, whose Schreier generator u_p g u_(p^g)^-1 the closure has tested.
     """
 
-    __slots__ = ("base", "gens", "gen_invs", "orbit", "tree", "invs", "_path_invs", "_reps")
+    __slots__ = ("base", "gens", "gen_invs", "orbit", "tree", "invs", "tested", "_path_invs",
+                 "_reps")
 
     def __init__(self, base, invs):
         self.base = base
         self.gens, self.gen_invs = [], []
         self.tree = self.orbit = {base: None}
         self.invs = invs
+        self.tested = {}
         self._path_invs = {base: []}
         self._reps = {base: None}
 
@@ -552,7 +558,7 @@ class _Level:
 
     def rep(self, point):
         """The transversal element u with base^u = point (None for the base),
-        kept once built."""
+        kept once built; only coset_key and elements() ask for it."""
         path = []
         while point not in self._reps:
             path.append(point)
@@ -659,23 +665,35 @@ class StabChain:
         """Sift every Schreier generator u_p g u_(p^g)^-1 of every level below
         that level until none adds a strong generator, or until the order
         equals target_order; each is the word of tree edges
-        path(p) + [g] + path_inv(p^g)."""
+        path(p) + [g] + path_inv(p^g).
+
+        Each is sifted once: a point starts at its count in the level's
+        tested, which persists across calls (normal_closure makes many).
+        Tree entries never change and the group of the deeper levels only
+        grows, so a tested generator stays in it: sifted again, absorbed or
+        not, it would end as a member and add no strong generator."""
         changed = self.order() != target_order
         while changed:
             changed = False
             for i in range(len(self.levels) - 1, -1, -1):
                 lvl = self.levels[i]
                 tree = lvl.tree
+                gens, tested = lvl.gens, lvl.tested
                 for p in list(tree):
+                    j = tested.get(p, 0)
+                    if j == len(gens):
+                        continue
                     up = lvl.path(p)
-                    for j, g in enumerate(lvl.gens):
+                    while j < len(gens):        # gens may grow meanwhile
+                        g = gens[j]
                         pg = g[p]
-                        if tree[pg] == (p, j):
-                            continue            # a tree edge: u_p g = u_(p^g)
-                        if self._absorb(up + [g] + lvl.path_inv(pg), i + 1):
+                        # a tree edge is skipped: u_p g = u_(p^g)
+                        if tree[pg] != (p, j) and self._absorb(up + [g] + lvl.path_inv(pg), i + 1):
                             if self.order() == target_order:
                                 return
                             changed = True
+                        j += 1
+                    tested[p] = j
 
     # derived data ----------------------------------------------------------
 
@@ -708,15 +726,6 @@ class StabChain:
 
         yield from rec(len(self.levels) - 1, ident)
 
-    def words(self, cap=DEFAULT_ENUM_CAP):
-        """Iterate all elements as words of transversal elements, in the
-        order of elements(), without forming their products."""
-        if self.order() > cap:
-            raise CapExceeded(f"group order {self.order()} exceeds cap {cap}")
-        per_level = [[lvl.rep(p) for p in lvl.orbit] for lvl in reversed(self.levels)]
-        for choice in product(*per_level):
-            yield [u for u in choice if u is not None]
-
     def coset_key(self, g):
         """Canonical key of the right coset (this group) * g."""
         cur = list(g)
@@ -742,12 +751,31 @@ def bsgs(gens, dom: Domain, target_order=None) -> StabChain:
 
 
 def enumerate_and_sift(H: StabChain, K: StabChain, cap=DEFAULT_ENUM_CAP) -> list:
-    """The elements of H meet K, in the order of H.elements(): H is
-    enumerated as words, each is sifted through K's chain, and only the
-    products of the members are formed."""
+    """The elements of H meet K, in the order of H.elements().  H is
+    enumerated as words of tree paths, one path per level, the first level's
+    last; no transversal element of H is built.  The words share a prefix,
+    the paths of the outer levels, that K's first base point is moved
+    through once; a word is sifted through K's chain only when its last path
+    takes that image into K's first orbit, the first step of the sift, and
+    only the products of the members are formed."""
     if H.n != K.n:
         raise ValueError("chains act on different domains")
-    return [_product(word, H.n) for word in H.words(cap) if K._sift(word)[1] is None]
+    if H.order() > cap:
+        raise CapExceeded(f"group order {H.order()} exceeds cap {cap}")
+    *outer, last = [[lvl.path(p) for p in lvl.orbit] for lvl in reversed(H.levels)] or [[[]]]
+    first = K.levels[0] if K.levels else None
+    out = []
+    for choice in product(*outer):
+        prefix = [g for path in choice for g in path]
+        if first is not None:
+            y = _image(first.base, prefix)
+        for path in last:
+            if first is not None and _image(y, path) not in first.orbit:
+                continue
+            word = prefix + path
+            if K._sift(word)[1] is None:
+                out.append(_product(word, H.n))
+    return out
 
 
 def normal_closure(seeds, conjugators, n_points, cap=DEFAULT_ENUM_CAP, known_base=None):

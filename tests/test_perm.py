@@ -2,10 +2,16 @@ import gc
 import random
 import tracemalloc
 import weakref
+from itertools import product
 
 import pytest
 
-from factorlab.construct import ext_field_subgroup, frobenius_elem, gens_classical
+from factorlab.construct import (
+    ext_field_subgroup,
+    frobenius_elem,
+    gens_classical,
+    parabolic_p1_sp_residual,
+)
 from factorlab.errors import CapExceeded, VerificationFailed
 from factorlab.gf import FieldSpec
 from factorlab.linalg import GroupElem, MatF, SpaceFrame
@@ -13,6 +19,7 @@ from factorlab.perm import (
     StabChain,
     _Level,
     _frontier_orbit,
+    _image,
     _product,
     bsgs,
     compose,
@@ -400,6 +407,13 @@ def test_known_base_leaves_the_chain_unchanged(fam, n, q):
         assert _levels(based) == _levels(plain)
 
 
+def _path_words(chain):
+    """The chain's elements as the words enumerate_and_sift builds: one tree
+    path per level, the first level's last and varying fastest."""
+    per_level = [[lvl.path(p) for p in lvl.orbit] for lvl in reversed(chain.levels)]
+    return [[g for path in choice for g in path] for choice in product(*per_level)]
+
+
 @pytest.mark.parametrize("fam,n,q", SUBGROUP_FRAMES)
 def test_enumerate_and_sift_on_words_matches_full_permutations(fam, n, q):
     dom, ambient = _ambient(fam, n, q)
@@ -415,9 +429,136 @@ def test_enumerate_and_sift_on_words_matches_full_permutations(fam, n, q):
         K = StabChain(k_gens, dom.size, known_base=base)
         K_plain = StabChain(k_gens, dom.size)
         elements = list(H.elements())
-        assert [_product(w, dom.size) for w in H.words()] == elements
+        assert [_product(w, dom.size) for w in _path_words(H)] == elements
         assert enumerate_and_sift(H, K) == [g for g in elements if K_plain.contains(g)]
         assert enumerate_and_sift(H, ambient) == elements
+
+
+def test_enumerate_and_sift_with_a_trivial_k_keeps_only_the_identity():
+    F, gens = sl2_4_gens()
+    dom = nonzero_vectors(SpaceFrame.symplectic(F, 1))
+    H = bsgs(gens, dom)
+    assert H.order() == 60 and len(H.levels) > 1
+    for K in (StabChain([], dom.size), StabChain([], dom.size, known_base=dom.known_base)):
+        assert enumerate_and_sift(H, K) == [list(range(dom.size))]
+
+
+def test_enumerate_and_sift_follows_k_first_base_through_each_prefix():
+    # H fixes a point and K a conjugate one; their first base points differ,
+    # so the image y of K's first base under the outer paths of H varies
+    dom, ambient = _ambient("Sp", 4, 3)
+    x = random_element(ambient, random.Random(5))
+    xi = inverse(x)
+    h_gens = ambient.levels[1].gens
+    k_gens = [compose(compose(xi, g), x) for g in h_gens]
+    H = StabChain(h_gens, dom.size, known_base=dom.known_base)
+    K = StabChain(k_gens, dom.size, known_base=dom.known_base)
+    K_plain = StabChain(k_gens, dom.size)
+    first = K.levels[0]
+    assert first.base != H.levels[0].base and len(first.orbit) < dom.size
+    outer = [[lvl.path(p) for p in lvl.orbit] for lvl in reversed(H.levels[1:])]
+    ys = {_image(first.base, [g for path in choice for g in path]) for choice in product(*outer)}
+    assert len(ys) > 1
+    expected = [g for g in H.elements() if K_plain.contains(g)]
+    assert 1 < len(expected) < H.order()
+    assert enumerate_and_sift(H, K) == expected
+
+
+def test_enumerate_and_sift_refuses_a_large_h_before_any_sift(monkeypatch):
+    F, gens = sl2_4_gens()
+    dom = nonzero_vectors(SpaceFrame.symplectic(F, 1))
+    H = bsgs(gens, dom)
+    work = []
+    monkeypatch.setattr(StabChain, "_sift", lambda *args: work.append(args))
+    monkeypatch.setattr(_Level, "path", lambda *args: work.append(args))
+    with pytest.raises(CapExceeded):
+        enumerate_and_sift(H, H, cap=59)
+    assert work == []
+
+
+def test_enumerate_and_sift_builds_no_transversal_element_of_h():
+    # H's 755 transversal elements, kept as 728-point permutations, set a
+    # traced peak of about 4.5 MiB on the Sp_6(3) triple
+    G = gens_classical("Sp", 6, 3)
+    H, _, _ = ext_field_subgroup("Sp", 1, 3, 3)
+    K, _ = parabolic_p1_sp_residual(3, 3)
+    dom = nonzero_vectors(G.frame)
+    chainH, chainK = bsgs(H.gens, dom), bsgs(K.gens, dom)
+    tracemalloc.start()
+    try:
+        inter = enumerate_and_sift(chainH, chainK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(inter) == 27
+    assert peak <= 2 ** 20
+    assert all(lvl._reps == {lvl.base: None} for lvl in chainH.levels)
+
+
+class _Forgetful(dict):
+    """A memo that records nothing: the closure then sifts every Schreier
+    generator again in every pass."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _schreier_sifts(monkeypatch, build, memo=True):
+    """The chain build() returns and the keys of the Schreier generators it
+    sifted, one per sift: the level the sift starts at, one below the
+    generator's, and the word's permutations by identity, which fix the
+    point and the generator."""
+    absorb, init = StabChain._absorb, _Level.__init__
+    keys = []
+
+    def counting_absorb(chain, word, start=0):
+        if start:
+            keys.append((start, tuple(map(id, word))))
+        return absorb(chain, word, start)
+
+    def forgetful_init(lvl, base, invs):
+        init(lvl, base, invs)
+        lvl.tested = _Forgetful()
+
+    with monkeypatch.context() as m:
+        m.setattr(StabChain, "_absorb", counting_absorb)
+        if not memo:
+            m.setattr(_Level, "__init__", forgetful_init)
+        chain = build()
+    return chain, keys
+
+
+@pytest.mark.parametrize("case", ["OmegaOdd-7-3", "derived-Sp-4-3"])
+def test_each_schreier_generator_is_sifted_once(case, monkeypatch):
+    if case == "OmegaOdd-7-3":
+        spec = gens_classical("OmegaOdd", 7, 3)
+        dom = nonzero_vectors(spec.frame)
+        perms = dom.perms_of(spec.gens)
+
+        def build():
+            return StabChain(perms, dom.size, known_base=dom.known_base)
+    else:
+        dom, ambient = _ambient("Sp", 4, 3)
+        rng = random.Random(2)
+        perms = [random_element(ambient, rng) for _ in range(2)]
+
+        def build():
+            return derived_chain(perms, dom.size, known_base=dom.known_base)
+    chain, keys = _schreier_sifts(monkeypatch, build)
+    plain, plain_keys = _schreier_sifts(monkeypatch, build, memo=False)
+    # every Schreier generator of the closed chain, tree edges aside, was
+    # sifted, and none twice
+    every = set()
+    for i, lvl in enumerate(chain.levels):
+        for p in lvl.tree:
+            for j, g in enumerate(lvl.gens):
+                if lvl.tree[g[p]] != (p, j):
+                    word = lvl.path(p) + [g] + lvl.path_inv(g[p])
+                    every.add((i + 1, tuple(map(id, word))))
+    assert len(set(keys)) == len(keys) and set(keys) == every
+    assert len(plain_keys) > len(keys)
+    assert [(lvl.base, lvl.gens) for lvl in chain.levels] == \
+        [(lvl.base, lvl.gens) for lvl in plain.levels]
 
 
 def _check_level(lvl):

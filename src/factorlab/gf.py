@@ -16,21 +16,6 @@ from .errors import DivisionByZero, NoSuchConstant, NotASubfield
 ADD_TABLE_MAX_Q = 256
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def is_prime_power(n: int) -> bool:
     p = _smallest_prime_factor(n)
     if p is None:
@@ -106,7 +91,7 @@ class FieldSpec:
     _cache: dict = {}
 
     def __init__(self, p: int, f: int, modulus=None):
-        if not is_prime(p):
+        if _smallest_prime_factor(p) != p:
             raise ValueError(f"p={p} is not prime")
         if f < 1:
             raise ValueError("f must be positive")

@@ -37,22 +37,25 @@ then a word of group elements that sifts through every level is the
 identity exactly when it fixes those few points.
 
 Every stabilizer chain is built by one deterministic Schreier-Sims, and no
-seed reaches it; a normal closure grows one chain in place.  A chain level
-keeps a Schreier tree of its base point's orbit.  The tree grows in place
-when a strong generator arrives, so a transversal element u_p, once built,
-stays valid.  Sifts and Schreier generators never form u_p or u_p^-1: they
-extend a word by the generators on the tree path from the base down to p, or
-by their inverses on the way back up (Schreier vectors), with one inverse
-per generator shared by all levels of the chain.  A level keeps each point's
-inverse word once built: the inverse of the last edge, then the parent's
-kept word, so it holds one reference per edge and no permutation of its own,
-and stays valid as the tree grows.  A word that passes every level fixes
-every base point of the chain, so with a known base a sift follows only the
-known-base points that are not base points, and none when the chain's bases
-cover the known base.  enumerate_and_sift walks H as words of tree paths too;
-only coset keys and elements() build and keep whole transversal elements.
-The closure sifts each Schreier generator once: a level counts, per orbit
-point, the generators already tested there.
+seed reaches it; a normal closure grows one chain in place.  A sift residue
+that is not in the group becomes a strong generator at the level the sift
+stopped at, whose base it moves; past the last level it opens a new level
+whose base is the first point it moves (any moved point will do, Seress
+2003, 4.2).  A chain level keeps a Schreier tree of its base point's orbit.
+The tree grows in place when a strong generator arrives, so a transversal
+element u_p, once built, stays valid.  Sifts and Schreier generators never
+form u_p or u_p^-1: they extend a word by the generators on the tree path
+from the base down to p, or by their inverses on the way back up (Schreier
+vectors), with one inverse per generator shared by all levels of the chain.
+A level keeps each point's inverse word once built: the inverse of the last
+edge, then the parent's kept word, so it holds one reference per edge and no
+permutation of its own, and stays valid as the tree grows.  A word that
+passes every level fixes every base point of the chain, so with a known base
+a sift follows only the known-base points that are not base points, and none
+when the chain's bases cover the known base.  enumerate_and_sift and
+elements() walk a group as words of tree paths too; only coset keys keep
+whole transversal elements.  The closure sifts each Schreier generator once:
+a level counts, per orbit point, the generators already tested there.
 """
 
 from __future__ import annotations
@@ -470,24 +473,6 @@ def _inverse_of(invs, g):
     return gi
 
 
-def _longest_cycle_point(g):
-    """The smallest point of the first longest cycle of g, scanning points in
-    order, or None when g is the identity."""
-    seen = bytearray(len(g))
-    best, best_len = None, 1
-    for start in range(len(g)):
-        if seen[start]:
-            continue
-        x, length = start, 0
-        while not seen[x]:
-            seen[x] = 1
-            x = g[x]
-            length += 1
-        if length > best_len:
-            best, best_len = start, length
-    return best
-
-
 class _Level:
     """A base point, the strong generators that fix the earlier base points,
     and the Schreier tree of the base point's orbit under them.
@@ -558,7 +543,7 @@ class _Level:
 
     def rep(self, point):
         """The transversal element u with base^u = point (None for the base),
-        kept once built; only coset_key and elements() ask for it."""
+        kept once built; only coset_key asks for it."""
         path = []
         while point not in self._reps:
             path.append(point)
@@ -575,7 +560,9 @@ class StabChain:
     generators are sifted in, then every Schreier generator (Seress 2003,
     4.2).  With target_order the closure stops once the order equals it, so
     the order is only a lower bound (ROADMAP item 1), and another order
-    raises VerificationFailed; without it the order is proven.
+    raises VerificationFailed; without it the order is proven.  A level's
+    base is the first point its first strong generator moves, and only
+    coset_key keeps whole transversal elements (_Level.rep).
 
     known_base, when given, lists points that only the identity of the
     ambient group fixes; every permutation the chain is built from or asked
@@ -601,7 +588,7 @@ class StabChain:
         """Record g as a strong generator; it fixes the first level_idx bases,
         so it belongs to the generating sets of levels 0..level_idx."""
         if level_idx == len(self.levels):
-            base = _longest_cycle_point(g)
+            base = next(x for x, y in enumerate(g) if x != y)
             self.levels.append(_Level(base, self._invs))
             if self._known_rest is not None and base in self._known_rest:
                 self._known_rest.remove(base)
@@ -649,16 +636,12 @@ class StabChain:
 
     def _absorb(self, word, start=0):
         """Sift word from level start on and, if it is not in the group,
-        record the residue as a strong generator."""
+        record the residue as a strong generator at the level the sift
+        stopped at, whose base it moves (or past the last level)."""
         word, idx = self._sift(word, start)
         if idx is None:
             return False
-        cur = _product(word, self.n)
-        # the residue fixes the first idx base points; it may also fix deeper
-        # ones, in which case push it down as far as it goes
-        while idx < len(self.levels) and cur[self.levels[idx].base] == self.levels[idx].base:
-            idx += 1
-        self._add_gen(idx, cur)
+        self._add_gen(idx, _product(word, self.n))
         return True
 
     def _schreier_closure(self, target_order=None):
@@ -704,27 +687,14 @@ class StabChain:
         return out
 
     def elements(self, cap=DEFAULT_ENUM_CAP):
-        """Iterate all elements as permutation lists (transversal products)."""
+        """Iterate all elements as permutation lists: the products of the
+        words of tree paths, one path per level, the first level's last, in
+        the order enumerate_and_sift walks them."""
         if self.order() > cap:
             raise CapExceeded(f"group order {self.order()} exceeds cap {cap}")
-        ident = list(range(self.n))
-
-        def rec(i, acc):
-            if i < 0:
-                yield acc
-                return
-            lvl = self.levels[i]
-            for p in lvl.orbit:
-                u = lvl.rep(p)
-                if u is None:
-                    nxt = acc
-                elif acc is ident:
-                    nxt = list(u)
-                else:
-                    nxt = compose(acc, u)
-                yield from rec(i - 1, nxt)
-
-        yield from rec(len(self.levels) - 1, ident)
+        paths = [[lvl.path(p) for p in lvl.orbit] for lvl in reversed(self.levels)]
+        for choice in product(*paths):
+            yield _product([g for path in choice for g in path], self.n)
 
     def coset_key(self, g):
         """Canonical key of the right coset (this group) * g."""

@@ -5,13 +5,15 @@ from factorlab.gf import (
     FieldSpec,
     find_irreducible_mu,
     find_mu_norm_minus_one,
-    is_prime,
     split_prime_power,
 )
 
 
 def test_prime_power_helpers():
-    assert is_prime(2) and is_prime(13) and not is_prime(1) and not is_prime(15)
+    for p in (1, 15):
+        with pytest.raises(ValueError):
+            FieldSpec(p, 1)
+    assert FieldSpec(13, 1).q == 13
     assert split_prime_power(8) == (2, 3)
     assert split_prime_power(81) == (3, 4)
     with pytest.raises(ValueError):

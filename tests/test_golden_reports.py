@@ -4,7 +4,8 @@ byte-identical to the copies under tests/data/, and the `sweep --tier a`
 report hashes to the sha256 digest kept there, as do the family orders of
 `classical_order` over a fixed grid and the stabilizer chains that
 `check-triple` and the TIER-B sweep build.  A faster path or a new layout
-must not change what is certified; these files pin it on every run.
+must not change what is certified; these files pin it on every run.  The
+same chains also keep the base rule of perm.StabChain.
 `tools/write_golden.py` writes the copies with the calls in GOLDEN."""
 
 import hashlib
@@ -155,3 +156,22 @@ def test_family_orders_are_unchanged(tmp_path):
 
 def test_stab_chains_are_unchanged(tmp_path):
     _assert_unchanged("stab_chains.sha256", tmp_path)
+
+
+def test_chain_levels_keep_the_base_rule(tmp_path):
+    """In every chain that `check-triple` and `sweep --tier b` build, a
+    level's base is the first point its first strong generator moves, and
+    each strong generator first recorded at a level moves that level's base:
+    a sift residue is recorded at the level the sift stopped at."""
+    chains = []
+    with _chains_built_by(cli, "bsgs", chains):
+        assert check_triple(tmp_path / "triple.json", tmp_path, 0) == 0
+    with _chains_built_by(verify, "_build_chain", chains):
+        assert sweep_tier_b(tmp_path / "tier_b.json", tmp_path, 0) == 0
+    assert chains
+    for chain in chains:
+        recorded_at = {}     # a strong generator lies in every level up to its own
+        for lvl in chain.levels:
+            assert lvl.base == next(x for x, y in enumerate(lvl.gens[0]) if x != y)
+            recorded_at.update((id(g), (g, lvl.base)) for g in lvl.gens)
+        assert all(g[base] != base for g, base in recorded_at.values())

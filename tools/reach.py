@@ -1,0 +1,156 @@
+#!/usr/bin/env python3
+"""List the functions of src/factorlab that nothing but the tests reaches.
+
+Run from the repo root:  python3 tools/reach.py
+
+Under sys.setprofile it runs every command of the command line, the
+bad-input exits included, tools/build_tables_db.build(), every GOLDEN writer
+of tests/test_golden_reports.py and perfbench's check-triple prepare step,
+all in-process and with every file written into a temporary directory.  It
+then prints each function (methods and nested functions included) that no
+call entered, with its line count, and the totals.  A function counts as
+reached when a profiled call's code object starts on its first line, which
+for a decorated function is the line of its first decorator.
+"""
+
+import ast
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "factorlab"
+sys.path[:0] = [str(ROOT / d) for d in ("src", "tests", "tools", "perfbench")]
+
+
+def functions():
+    """(path, first line) -> (qualified name, line count) for every def in
+    src/factorlab, the first line being the first decorator's if any."""
+    out = {}
+
+    def walk(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                name = prefix + child.name
+                out[(path, first)] = (name, child.end_lineno - first + 1)
+                walk(child, path, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, path, prefix + child.name + ".")
+            else:
+                walk(child, path, prefix)
+
+    for path in sorted(SRC.glob("*.py")):
+        walk(ast.parse(path.read_text()), str(path), "")
+    return out
+
+
+def _cli(argv):
+    from factorlab import cli
+
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.main(argv)
+        except SystemExit as e:     # argparse's own usage errors
+            return e.code
+
+
+def run_everything(tmp):
+    """Every command, tool and prepare step; returns (command line, exit
+    code) per command run, the command line without the directory tmp."""
+    import build_tables_db
+    import child
+    from test_golden_reports import GOLDEN
+
+    child._triple_prepare(str(tmp))
+    triple = [str(tmp / name) for name in child.TRIPLE_FILES]
+    bad_json = tmp / "bad.json"
+    bad_json.write_text('{"x": ')
+    db = json.loads((SRC / "data" / "tables_db.json").read_text())
+    db["records"][0]["shapes"]["H"] = "SL(a,"
+    bad_shape = tmp / "bad_shape.json"
+    bad_shape.write_text(json.dumps(db))
+    bad_field = tmp / "bad_field.json"
+    bad_field.write_text(json.dumps({"field": {"p": 15, "f": 1, "modulus": [0, 1]},
+                                     "n": 1, "gens": []}))
+    gf2 = {"p": 2, "f": 1, "modulus": [1, 1]}
+    bad_dim = tmp / "bad_dim.json"
+    bad_dim.write_text(json.dumps({"field": gf2, "n": 2, "gens": [{"matrix": [[[1]]]}]}))
+    other_field = tmp / "other_field.json"
+    other_field.write_text(json.dumps({"field": gf2, "n": 1, "gens": [{"matrix": [[[1]]]}]}))
+    out = str(tmp / "out.txt")
+    commands = [
+        ["list"],
+        ["list", "--table", "1", "--out", out],
+        ["show", "--table", "1", "--row", "1"],
+        ["show", "--table", "99"],
+        ["verify", "--table", "1", "--row", "1", "--sub", "a", "--bind", "a=2", "--bind", "q=2"],
+        ["verify", "--tier", "b", "--table", "1", "--row", "1", "--sub", "b", "--format", "json"],
+        ["verify", "--table", "1", "--row", "1", "--sub", "a", "--bind", "q"],
+        ["verify", "--table", "1", "--row", "1", "--sub", "a", "--bind", "q=1"],
+        ["verify", "--table", "99"],
+        ["sweep", "--tier", "a", "--format", "json", "--out", out],
+        ["sweep", "--tier", "b"],
+        ["sweep", "--tier", "both", "--table", "5", "--max-order", "1e12", "--max-group", "1e5"],
+        ["sweep", "--tier", "a", "--max-order", "x"],
+        ["sweep", "--db", str(bad_json)],
+        ["list", "--db", str(bad_shape)],
+        ["export-db", "--out", out],
+        ["check-triple", *triple],
+        ["check-triple", *triple, "--format", "json", "--out", out],
+        ["check-triple", *triple, "--max-enum", "10"],
+        ["check-triple", str(bad_json), *triple[1:]],
+        ["check-triple", str(bad_field), *triple[1:]],
+        ["check-triple", str(bad_dim), *triple[1:]],
+        ["check-triple", str(tmp / "missing.json"), *triple[1:]],
+        ["check-triple", str(other_field), *triple[1:]],
+        ["check-triple", triple[2], triple[0], triple[2]],
+    ]
+    codes = [(" ".join(argv).replace(f"{tmp}/", ""), _cli(argv)) for argv in commands]
+
+    build_tables_db.build()
+    for name, (write, seed) in GOLDEN.items():
+        work = tmp / name.replace(".", "_")
+        work.mkdir()
+        write(work / name, work, seed)
+    return codes
+
+
+def main():
+    entered = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.setprofile(hook)
+        try:
+            codes = run_everything(Path(tmp))
+        finally:
+            sys.setprofile(None)
+    # build_tables_db puts tools/../src on the path, so file names are resolved
+    reached = {(str(Path(code.co_filename).resolve()), code.co_firstlineno) for code in entered}
+    defs = functions()
+    missed = sorted(key for key in defs if key not in reached)
+    for line, code in codes:
+        print(f"exit {code}: {line}")
+    print()
+    for path, line in missed:
+        name, lines = defs[(path, line)]
+        print(f"{Path(path).relative_to(ROOT)}:{line}  {name}  ({lines} lines)")
+
+    def span(keys):
+        # the lines of the functions, a nested function's counted once
+        return len({(path, x) for path, line in keys for x in range(line, line + defs[(path, line)][1])})
+
+    print(f"\nunreached: {len(missed)} of {len(defs)} functions, "
+          f"{span(missed)} of {span(defs)} function lines")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .errors import FactorLabError, FieldMismatch, NotSubgroup, UsageError
+from .errors import DimensionMismatch, FactorLabError, FieldMismatch, NotSubgroup, UsageError
 from .gf import FieldSpec
 from .linalg import GroupElem, SpaceFrame
 from .perm import bsgs, enumerate_and_sift, nonzero_vectors
@@ -244,11 +244,14 @@ def _load_genfile(path):
             field = FieldSpec.deserialize(doc["field"])
             gens = [GroupElem.deserialize(field, g) for g in doc["gens"]]
             n = doc["n"]
-        except (ValueError, KeyError, TypeError, IndexError) as e:
+        except (ValueError, KeyError, TypeError, IndexError, DimensionMismatch) as e:
             # json.JSONDecodeError is a ValueError
             raise UsageError(f"{path}: not a generator file ({type(e).__name__}: {e})") from None
     if type(n) is not int or n < 1 or any(g.n != n for g in gens):
         raise UsageError(f"{path}: the generators are not {n!r} x {n!r} matrices")
+    for k, g in enumerate(gens):
+        if g.mat.det() == 0:
+            raise UsageError(f"{path}: generator {k} is singular")
     return field, n, gens
 
 

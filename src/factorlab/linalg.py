@@ -235,10 +235,19 @@ class GroupElem:
 
     @classmethod
     def deserialize(cls, owner: FieldSpec, doc) -> "GroupElem":
-        rows = tuple(
-            tuple(owner.from_digits(cell) for cell in row) for row in doc["matrix"]
-        )
-        return cls(MatF(owner, rows), doc.get("frob", 0))
+        """The element serialize wrote; a cell that is not f digits in
+        range(p), or a frob outside range(f), raises ValueError."""
+        p, f = owner.p, owner.f
+
+        def entry(cell):
+            if len(cell) != f or any(type(c) is not int or not 0 <= c < p for c in cell):
+                raise ValueError(f"cell {cell!r} is not {f} digits in range({p})")
+            return owner.from_digits(cell)
+
+        frob = doc.get("frob", 0)
+        if type(frob) is not int or not 0 <= frob < f:
+            raise ValueError(f"frob {frob!r} is not in range({f})")
+        return cls(MatF(owner, tuple(tuple(map(entry, row)) for row in doc["matrix"])), frob)
 
 
 class FormSpec:

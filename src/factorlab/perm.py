@@ -49,13 +49,18 @@ from the base down to p, or by their inverses on the way back up (Schreier
 vectors), with one inverse per generator shared by all levels of the chain.
 A level keeps each point's inverse word once built: the inverse of the last
 edge, then the parent's kept word, so it holds one reference per edge and no
-permutation of its own, and stays valid as the tree grows.  A word that
-passes every level fixes every base point of the chain, so with a known base
-a sift follows only the known-base points that are not base points, and none
-when the chain's bases cover the known base.  enumerate_and_sift and
-elements() walk a group as words of tree paths too; only coset keys keep
-whole transversal elements.  The closure sifts each Schreier generator once:
-a level counts, per orbit point, the generators already tested there.
+permutation of its own, and stays valid as the tree grows.  A sift extends
+the list it is given in place, by kept words, so every caller hands it a
+list just built (the closure builds each Schreier generator as one).  A word
+that passes every level fixes every base point of the chain, so with a known
+base a sift follows only the known-base points that are not base points, and
+none when the chain's bases cover the known base.  enumerate_and_sift and
+elements() walk a group as words of tree paths too; enumerate_and_sift grows
+the images of K's first base point along the tree of H's first level, one
+lookup per point, since the tree lists each parent before its children.
+Only coset keys keep whole transversal elements.  The closure sifts each
+Schreier generator once: a level counts, per orbit point, the generators
+already tested there.
 """
 
 from __future__ import annotations
@@ -600,30 +605,43 @@ class StabChain:
 
         word is a list of permutations, applied left to right; its product
         must fix the first start base points.  Returns (residue, level): the
-        residue is a copy of word extended, level by level, by the kept word
-        of generator inverses on the tree path from the base point's image up
-        to the base, and level is None when the product is in the group, else
-        the first depth the residue fails at.  A residue that passes every
-        level fixes every base point of the chain, since the words of a level
-        fix the earlier base points.  So with a known base no product is
-        formed: the verdict follows only the known-base points that are not
-        chain base points through the word, and none when there are none.
+        residue is word itself, extended in place, level by level, by the
+        kept word of generator inverses on the tree path from the base
+        point's image up to the base, and level is None when the product is
+        in the group, else the first depth the residue fails at.  So a caller
+        hands in a list it has just built, never a kept word.  Each level
+        follows its base point through the word in a loop of its own and
+        takes the kept word of the image; orbit membership is tested, and
+        path_inv called, only when no word is kept for the image yet.  A
+        residue that passes every level fixes every base point of the chain,
+        since the words of a level fix the earlier base points.  So with a
+        known base no product is formed: the verdict follows the known-base
+        points that are not chain base points through the word, one by one,
+        up to the first that moves, and none when there are none.
         """
-        word = list(word)
         levels = self.levels
         for i in range(start, len(levels)):
             lvl = levels[i]
-            img = _image(lvl.base, word)
-            if img == lvl.base:
+            base = img = lvl.base
+            for g in word:
+                img = g[img]
+            if img == base:
                 continue
-            if img not in lvl.orbit:
-                return word, i
-            word.extend(lvl.path_inv(img))
+            kept = lvl._path_invs.get(img)
+            if kept is None:
+                if img not in lvl.tree:
+                    return word, i
+                kept = lvl.path_inv(img)
+            word += kept
         if self._known_rest is None:
-            member = is_identity(_product(word, self.n))
-        else:
-            member = all(_image(x, word) == x for x in self._known_rest)
-        return word, (None if member else len(levels))
+            return word, (None if is_identity(_product(word, self.n)) else len(levels))
+        for x in self._known_rest:
+            y = x
+            for g in word:
+                y = g[y]
+            if y != x:
+                return word, len(levels)
+        return word, None
 
     def contains(self, g):
         return self._sift([g])[1] is None
@@ -637,7 +655,8 @@ class StabChain:
     def _absorb(self, word, start=0):
         """Sift word from level start on and, if it is not in the group,
         record the residue as a strong generator at the level the sift
-        stopped at, whose base it moves (or past the last level)."""
+        stopped at, whose base it moves (or past the last level).  The sift
+        extends word in place, so it must be a list of the caller's own."""
         word, idx = self._sift(word, start)
         if idx is None:
             return False
@@ -648,7 +667,8 @@ class StabChain:
         """Sift every Schreier generator u_p g u_(p^g)^-1 of every level below
         that level until none adds a strong generator, or until the order
         equals target_order; each is the word of tree edges
-        path(p) + [g] + path_inv(p^g).
+        [*path(p), g, *path_inv(p^g)], built as one fresh list, since the
+        sift extends it and the kept word of p^g must stay as it is.
 
         Each is sifted once: a point starts at its count in the level's
         tested, which persists across calls (normal_closure makes many).
@@ -671,7 +691,7 @@ class StabChain:
                         g = gens[j]
                         pg = g[p]
                         # a tree edge is skipped: u_p g = u_(p^g)
-                        if tree[pg] != (p, j) and self._absorb(up + [g] + lvl.path_inv(pg), i + 1):
+                        if tree[pg] != (p, j) and self._absorb([*up, g, *lvl.path_inv(pg)], i + 1):
                             if self.order() == target_order:
                                 return
                             changed = True
@@ -725,26 +745,38 @@ def enumerate_and_sift(H: StabChain, K: StabChain, cap=DEFAULT_ENUM_CAP) -> list
     enumerated as words of tree paths, one path per level, the first level's
     last; no transversal element of H is built.  The words share a prefix,
     the paths of the outer levels, that K's first base point is moved
-    through once; a word is sifted through K's chain only when its last path
-    takes that image into K's first orbit, the first step of the sift, and
-    only the products of the members are formed."""
+    through once.  Its images under the paths of H's first level grow along
+    that level's tree, which lists each parent before its children: the
+    image at p is the edge into p applied to the image at p's parent, one
+    lookup per point, kept in a list in tree order.  A word is sifted
+    through K's chain only when its image lies in K's first orbit, the first
+    step of the sift, and only the products of the members are formed."""
     if H.n != K.n:
         raise ValueError("chains act on different domains")
     if H.order() > cap:
         raise CapExceeded(f"group order {H.order()} exceeds cap {cap}")
-    *outer, last = [[lvl.path(p) for p in lvl.orbit] for lvl in reversed(H.levels)] or [[[]]]
+    outer = [[lvl.path(p) for p in lvl.orbit] for lvl in reversed(H.levels[1:])]
+    last, steps = [[]], []
+    if H.levels:
+        top = H.levels[0]
+        at = {p: k for k, p in enumerate(top.tree)}
+        last = [top.path(p) for p in top.tree]
+        steps = [(at[x], top.gens[i]) for x, i in list(top.tree.values())[1:]]
     first = K.levels[0] if K.levels else None
     out = []
     for choice in product(*outer):
         prefix = [g for path in choice for g in path]
+        imgs = last                     # a trivial K has no first orbit
         if first is not None:
-            y = _image(first.base, prefix)
-        for path in last:
-            if first is not None and _image(y, path) not in first.orbit:
-                continue
-            word = prefix + path
-            if K._sift(word)[1] is None:
-                out.append(_product(word, H.n))
+            imgs = [_image(first.base, prefix)]
+            for k, g in steps:
+                imgs.append(g[imgs[k]])
+        for path, y in zip(last, imgs):
+            if first is None or y in first.tree:
+                word = [*prefix, *path]
+                m = len(word)
+                if K._sift(word)[1] is None:
+                    out.append(_product(word[:m], H.n))
     return out
 
 

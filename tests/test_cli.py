@@ -265,6 +265,30 @@ def test_malformed_genfile_is_a_one_line_usage_error(capsys, tmp_path):
         assert err.count("\n") == 1 and str(bad) in err, err
 
 
+def test_genfile_entries_are_read_exactly(capsys, tmp_path):
+    # each file below used to be read modulo p or ignored: the GF(2) cell
+    # [7] read as 1 (a PASS on the identity), the 3-digit GF(9) cell as the
+    # element code 13 (an IndexError traceback), frob 5 over GF(2) as 0, and
+    # the singular and non-square matrices failed without naming the file
+    gf2, gf9 = gens_classical("SL", 2, 2), gens_classical("SL", 2, 9)
+    bad = {
+        "cell_mod_p": (gf2, {"matrix": [[[1], [0]], [[0], [7]]]}, "digits"),
+        "cell_too_long": (gf9, {"matrix": [[[1, 1, 1], [0, 0]], [[0, 0], [1, 0]]]},
+                          "digits"),
+        "frob": (gf2, {"frob": 5, "matrix": [[[1], [0]], [[0], [1]]]}, "frob"),
+        "singular": (gf2, {"matrix": [[[1], [1]], [[1], [1]]]}, "singular"),
+        "not_square": (gf2, {"matrix": [[[1], [0]]]}, "not square"),
+    }
+    for name, (G, gen, why) in bad.items():
+        good, path = tmp_path / f"{name}_G.json", tmp_path / f"{name}.json"
+        _genfile(good, G.frame.field, 2, G.gens)
+        path.write_text(json.dumps({"field": G.frame.field.serialize(), "n": 2,
+                                    "gens": [gen]}))
+        code, out, err = run(capsys, "check-triple", str(good), str(path), str(good))
+        assert code == 2 and not out, name
+        assert err.count("\n") == 1 and str(path) in err and why in err, err
+
+
 def test_sweep_sub_is_passed_on(capsys):
     code, out, _ = run(capsys, "sweep", "--tier", "a", "--table", "1", "--row", "1",
                        "--sub", "a", "--format", "json")

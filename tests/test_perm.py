@@ -483,6 +483,8 @@ def test_enumerate_and_sift_builds_no_transversal_element_of_h():
     H, _, _ = ext_field_subgroup("Sp", 1, 3, 3)
     K, _ = parabolic_p1_sp_residual(3, 3)
     dom = nonzero_vectors(G.frame)
+    chainG = bsgs(G.gens, dom)
+    assert all(chainG.contains(dom.perm_of(g)) for g in H.gens + K.gens)
     chainH, chainK = bsgs(H.gens, dom), bsgs(K.gens, dom)
     tracemalloc.start()
     try:
@@ -493,6 +495,12 @@ def test_enumerate_and_sift_builds_no_transversal_element_of_h():
     assert len(inter) == 27
     assert peak <= 2 ** 20
     assert all(lvl._reps == {lvl.base: None} for lvl in chainH.levels)
+    # a sift extends the list it is given: no closure, contains or
+    # enumeration handed it a kept word, so every kept word is still its
+    # tree path's
+    for chain in (chainG, chainH, chainK):
+        for lvl in chain.levels:
+            _check_level(lvl)
 
 
 class _Forgetful(dict):
@@ -562,14 +570,17 @@ def test_each_schreier_generator_is_sifted_once(case, monkeypatch):
 
 
 def _check_level(lvl):
-    # every tree edge is a generator step, the tree spans the orbit and the
-    # tree path words multiply to each transversal element and its inverse
+    # every tree edge is a generator step from a point listed earlier (the
+    # order enumerate_and_sift grows images in), the tree spans the orbit
+    # and the tree path words multiply to each transversal element and its
+    # inverse
+    at = {p: k for k, p in enumerate(lvl.tree)}
     for p, edge in lvl.tree.items():
         if edge is None:
-            assert p == lvl.base
+            assert p == lvl.base and at[p] == 0
         else:
             x, i = edge
-            assert lvl.gens[i][x] == p
+            assert lvl.gens[i][x] == p and at[x] < at[p]
     found = _frontier_orbit(lvl.base, lambda pts: ([g[x] for x in pts] for g in lvl.gens))
     assert set(lvl.orbit) == found
     for p in lvl.orbit:

@@ -81,6 +81,15 @@ def run_everything(tmp):
     bad_dim.write_text(json.dumps({"field": gf2, "n": 2, "gens": [{"matrix": [[[1]]]}]}))
     other_field = tmp / "other_field.json"
     other_field.write_text(json.dumps({"field": gf2, "n": 1, "gens": [{"matrix": [[[1]]]}]}))
+    gf9 = {"p": 3, "f": 2, "modulus": [1, 0, 1]}
+    bad_entries = []    # a GF(2) cell [7], a 3-digit GF(9) cell, frob 5 over GF(2), det 0
+    for name, field, gen in (
+            ("bad_cell", gf2, {"matrix": [[[1], [0]], [[0], [7]]]}),
+            ("long_cell", gf9, {"matrix": [[[1, 1, 1], [0, 0]], [[0, 0], [1, 0]]]}),
+            ("bad_frob", gf2, {"frob": 5, "matrix": [[[1], [0]], [[0], [1]]]}),
+            ("singular", gf2, {"matrix": [[[1], [1]], [[1], [1]]]})):
+        bad_entries.append(tmp / f"{name}.json")
+        bad_entries[-1].write_text(json.dumps({"field": field, "n": 2, "gens": [gen]}))
     out = str(tmp / "out.txt")
     commands = [
         ["list"],
@@ -107,6 +116,7 @@ def run_everything(tmp):
         ["check-triple", str(bad_dim), *triple[1:]],
         ["check-triple", str(tmp / "missing.json"), *triple[1:]],
         ["check-triple", str(other_field), *triple[1:]],
+        *(["check-triple", str(path), *triple[1:]] for path in bad_entries),
         ["check-triple", triple[2], triple[0], triple[2]],
     ]
     codes = [(" ".join(argv).replace(f"{tmp}/", ""), _cli(argv)) for argv in commands]

@@ -31,9 +31,7 @@ _OPTIONS = {
     "--row": dict(type=int, help="restrict to one row"),
     "--sub": dict(help="restrict to one sub-row (a, b, ...)"),
     "--db": dict(help="path of the tables DB (default: bundled)"),
-    "--seed": dict(type=int, default=0,
-                   help="no computation reads it; verify and sweep record it in each "
-                        "report's seed field"),
+    "--seed": dict(type=int, help="ignored"),
     "--format": dict(choices=["text", "json"], default="text"),
     "--out": dict(help="write the report here instead of stdout"),
     "--max-order": dict(default=DEFAULT_CAPS["max_order"],
@@ -47,10 +45,12 @@ _OPTIONS = {
     "--bind": dict(action="append", default=[], metavar="SYM=VAL"),
 }
 _SELECT = ("--table", "--row", "--sub", "--db")
-_RUN = ("--seed", "--format", "--out")
+_RUN = ("--format", "--out")
 _CAPS = ("--max-order", "--max-group", "--max-domain", "--max-enum")
 # each command: its help, and the arguments it reads (an option no command
-# reads would be a cap or a filter that silently means nothing)
+# reads would be a cap or a filter that silently means nothing); the one
+# exception is check-triple's --seed, which nothing reads but which
+# perfbench/child.py still passes (ROADMAP item 16)
 _COMMANDS = {
     "list": ("list the table rows in the database", (*_SELECT, "--out")),
     "show": ("print one row: shapes, constraints, reference", (*_SELECT, "--out")),
@@ -58,7 +58,8 @@ _COMMANDS = {
     "sweep": ("verify every admissible binding of the rows", (*_SELECT, *_RUN, *_CAPS)),
     "export-db": ("dump the bundled database", ("--out", "--db")),
     "check-triple": ("check G = HK for generator files",
-                     ("genfileG", "genfileH", "genfileK", *_RUN, "--max-domain", "--max-enum")),
+                     ("genfileG", "genfileH", "genfileK", "--seed", *_RUN, "--max-domain",
+                      "--max-enum")),
 }
 _TIERS = {"verify": ["a", "b"], "sweep": ["a", "b", "both"]}
 
@@ -198,7 +199,7 @@ def cmd_verify(args):
             cases = [c for c in tier_b_cases([rec])
                      if all(c.bindings.get(k) == v for k, v in bound.items())]
             for case in cases:
-                reports.append(verify_tier_b(case, seed=args.seed, caps=caps))
+                reports.append(verify_tier_b(case, caps=caps))
         else:
             cases = [c for c in admissible_bindings(rec, caps["max_order"])
                      if all(c.bindings.get(k) == v for k, v in bound.items())]
@@ -227,7 +228,7 @@ def _render(args, reports, summary):
 
 def cmd_sweep(args):
     records = _select(load_db(args.db), args)
-    reports, summary = sweep(records, tier=args.tier, caps=_caps_from(args), seed=args.seed)
+    reports, summary = sweep(records, tier=args.tier, caps=_caps_from(args))
     _render(args, reports, summary)
     return 1 if summary["fail"] else 0
 

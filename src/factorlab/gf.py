@@ -91,6 +91,8 @@ class FieldSpec:
     _cache: dict = {}
 
     def __init__(self, p: int, f: int, modulus=None):
+        if type(p) is not int or type(f) is not int:
+            raise ValueError(f"p={p!r} and f={f!r} must be integers")
         if _smallest_prime_factor(p) != p:
             raise ValueError(f"p={p} is not prime")
         if f < 1:
@@ -100,8 +102,11 @@ class FieldSpec:
         self.q = p ** f
         if modulus is None:
             modulus = _find_irreducible(p, f)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != f + 1 or modulus[f] != 1:
+        modulus = tuple(modulus)
+        if len(modulus) != f + 1 or any(type(c) is not int or not 0 <= c < p for c in modulus):
+            raise ValueError(f"modulus {list(modulus)} is not f + 1 = {f + 1} integers "
+                             f"in range({p})")
+        if modulus[f] != 1:
             raise ValueError("modulus must be monic of degree f")
         if not _is_irreducible(modulus, p):
             raise ValueError("modulus is not irreducible")

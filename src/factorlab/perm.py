@@ -36,14 +36,14 @@ nonzero vectors: e_1..e_n and, over a proper extension of GF(p), x e_1);
 then a word of group elements that sifts through every level is the
 identity exactly when it fixes those few points.
 
-Every stabilizer chain is built by one deterministic Schreier-Sims, and no
-seed reaches it; a normal closure grows one chain in place.  A sift residue
-that is not in the group becomes a strong generator at the level the sift
-stopped at, whose base it moves; past the last level it opens a new level
-whose base is the first point it moves (any moved point will do, Seress
-2003, 4.2).  A chain level keeps a Schreier tree of its base point's orbit.
-The tree grows in place when a strong generator arrives, so a transversal
-element u_p, once built, stays valid.  Sifts and Schreier generators never
+Every stabilizer chain is built by one deterministic Schreier-Sims; a
+normal closure grows one chain in place.  A sift residue that is not in the
+group becomes a strong generator at the level the sift stopped at, whose
+base it moves; past the last level it opens a new level whose base is the
+first point it moves (any moved point will do, Seress 2003, 4.2).  A chain
+level keeps a Schreier tree of its base point's orbit.  The tree grows in
+place when a strong generator arrives, so a transversal element u_p, once
+built, stays valid.  Sifts and Schreier generators never
 form u_p or u_p^-1: they extend a word by the generators on the tree path
 from the base down to p, or by their inverses on the way back up (Schreier
 vectors), with one inverse per generator shared by all levels of the chain.
@@ -284,6 +284,11 @@ class VectorTables(dict):
 # -- domains -------------------------------------------------------------------
 
 
+def _check_size(size, cap):
+    if size > cap:
+        raise DomainOverflow(f"domain size {size} exceeds cap {cap}")
+
+
 class Domain:
     """An enumerated set of geometric objects with a semilinear action.
 
@@ -296,8 +301,7 @@ class Domain:
 
     def __init__(self, kind, frame, points, images, cap=DEFAULT_DOMAIN_CAP, tables=None,
                  known_base=None):
-        if len(points) > cap:
-            raise DomainOverflow(f"domain size {len(points)} exceeds cap {cap}")
+        _check_size(len(points), cap)
         self.kind = kind
         self.frame = frame
         self.points = list(points)
@@ -348,8 +352,10 @@ def nonzero_vectors(frame, cap=DEFAULT_DOMAIN_CAP, tables=None) -> Domain:
     for the field element x coded p.  A map v |-> v^sigma A fixing every e_i
     has A = I; fixing x e_1 too gives x^sigma = x, and x generates GF(q)
     over GF(p), so sigma = 1.  tables, when given, are shared with another
-    domain on the same space."""
+    domain on the same space.  A size over the cap is refused before any
+    code is listed."""
     F = frame.field
+    _check_size(F.q ** frame.n - 1, cap)
     pts = [c for c in _all_vectors(frame) if c]
     base = [F.q ** i for i in range(frame.n)] + ([F.p] if F.f > 1 else [])
     return Domain("NonzeroVectors", frame, pts, _vector_images, cap, tables, base)

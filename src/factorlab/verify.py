@@ -41,19 +41,17 @@ class VerificationReport:
     computed: dict = field(default_factory=dict)
     expected: dict = field(default_factory=dict)
     elapsed_ms: int = 0
-    seed: int = 0
     detail: str = ""
 
     def to_json(self):
         # elapsed_ms is intentionally left out: JSON reports are specified to
-        # be byte-identical across runs; the seed is recorded, never read
+        # be byte-identical across runs
         return {
             "case": self.case_id,
             "tier": self.tier,
             "status": self.status,
             "computed": {k: str(v) for k, v in sorted(self.computed.items())},
             "expected": {k: str(v) for k, v in sorted(self.expected.items())},
-            "seed": self.seed,
             "detail": self.detail,
         }
 
@@ -157,7 +155,7 @@ def _require(ok, detail):
         raise _Mismatch(detail)
 
 
-def verify_tier_b(case: ConcreteCase, seed=0, caps=None) -> VerificationReport:
+def verify_tier_b(case: ConcreteCase, caps=None) -> VerificationReport:
     """Certify G = H K at the case's bindings.  A shared prefix builds H and
     its chain and checks |H|; the route's producer in ROUTES adds its facts;
     the order identity closes.  The facts, in the order found, are the
@@ -168,14 +166,14 @@ def verify_tier_b(case: ConcreteCase, seed=0, caps=None) -> VerificationReport:
     if not tb:
         return VerificationReport(case.id, "B", "SKIPPED(no tier-b recipe)")
     if tb["route"] not in ROUTES:
-        return VerificationReport(case.id, "B", f"SKIPPED(route {tb['route']})", seed=seed)
+        return VerificationReport(case.id, "B", f"SKIPPED(route {tb['route']})")
     bnd = case.bindings
     exp, facts, detail = {}, {}, ""
     try:
         exp = {f"order{k.capitalize()}": order_of(case.record.shape(k), bnd)
                for k in ("G", "H", "K", "int")}
         if exp["orderH"] > caps["max_group"]:
-            return VerificationReport(case.id, "B", "SKIPPED(scale)", seed=seed)
+            return VerificationReport(case.id, "B", "SKIPPED(scale)")
         spec_h, residual = _build_group(tb["H"], bnd)
         dom = _build_domain(tb["domain"], spec_h.frame, bnd, tb.get("ambient"),
                             caps["max_domain"])
@@ -196,9 +194,9 @@ def verify_tier_b(case: ConcreteCase, seed=0, caps=None) -> VerificationReport:
     except _Mismatch as e:
         detail = str(e)
     except (CapExceeded, DomainOverflow) as e:
-        return VerificationReport(case.id, "B", f"SKIPPED(scale: {e})", seed=seed)
+        return VerificationReport(case.id, "B", f"SKIPPED(scale: {e})")
     except UnboundSymbol as e:
-        return VerificationReport(case.id, "B", f"SKIPPED(config: {e})", seed=seed)
+        return VerificationReport(case.id, "B", f"SKIPPED(config: {e})")
     except FactorLabError as e:
         detail = f"construction: {e}"
     except Exception as e:  # a bug in one case must not abort a sweep
@@ -208,7 +206,7 @@ def verify_tier_b(case: ConcreteCase, seed=0, caps=None) -> VerificationReport:
     return VerificationReport(
         case.id, "B", "FAIL" if detail else "PASS",
         computed=facts, expected=exp,
-        elapsed_ms=int((time.perf_counter() - t0) * 1000), seed=seed, detail=detail,
+        elapsed_ms=int((time.perf_counter() - t0) * 1000), detail=detail,
     )
 
 
@@ -282,15 +280,17 @@ def tier_b_cases(records):
             yield ConcreteCase(rec, bnd)
 
 
-def sweep(records, tier="a", caps=None, seed=0):
-    """Run a tier over the records; returns (reports, summary)."""
+def sweep(records, tier="a", caps=None, seed=None):
+    """Run a tier over the records; returns (reports, summary).  Nothing
+    reads seed: perfbench/child.py still passes it, and the benchmark change
+    of ROADMAP item 3 drops it."""
     caps = {**DEFAULT_CAPS, **(caps or {})}
     reports = []
     if tier in ("a", "both"):
         reports.extend(verify_tier_a(c) for c in tier_a_cases(records, caps))
     if tier in ("b", "both"):
         for case in tier_b_cases(records):
-            reports.append(verify_tier_b(case, seed=seed, caps=caps))
+            reports.append(verify_tier_b(case, caps=caps))
     return reports, summarize(reports)
 
 

@@ -239,6 +239,8 @@ def test_bad_database_record_is_a_one_line_usage_error(capsys, tmp_path, rid, pa
 
 @pytest.mark.parametrize("command, option", [
     *((cmd, opt) for cmd in ("list", "show") for opt in ("--seed", "--format")),
+    ("verify", "--seed"),
+    ("sweep", "--seed"),
     *(("export-db", opt) for opt in ("--table", "--row", "--sub", "--seed", "--format")),
     *(("check-triple", opt) for opt in ("--table", "--row", "--sub", "--db", "--max-order",
                                          "--max-group")),
@@ -287,6 +289,37 @@ def test_genfile_entries_are_read_exactly(capsys, tmp_path):
         code, out, err = run(capsys, "check-triple", str(good), str(path), str(good))
         assert code == 2 and not out, name
         assert err.count("\n") == 1 and str(path) in err and why in err, err
+
+
+@pytest.mark.parametrize("field", [
+    {"p": 3, "f": 2, "modulus": [4, 3, 4]},    # used to read as x^2 + 1 modulo 3
+    {"p": 3, "f": 2, "modulus": [1.0, 0, 1]},
+    {"p": 3, "f": 2, "modulus": [1, 0, 1, 0]},
+    {"p": 3.0, "f": 2, "modulus": [1, 0, 1]},
+    {"p": 3, "f": True, "modulus": [1, 1]},
+])
+def test_genfile_field_is_read_exactly(capsys, tmp_path, field):
+    # SL(2,9)'s generators in all three places: read modulo p, the field
+    # [4, 3, 4] equalled GF(9) and check-triple said factorization = True
+    G = gens_classical("SL", 2, 9)
+    path = tmp_path / "G.json"
+    path.write_text(json.dumps({"field": field, "n": 2,
+                                "gens": [g.serialize() for g in G.gens]}))
+    code, out, err = run(capsys, "check-triple", str(path), str(path), str(path))
+    assert code == 2 and not out
+    assert err.count("\n") == 1 and str(path) in err and "Traceback" not in err, err
+
+
+def test_max_domain_is_refused_before_the_vectors_are_listed(capsys, tmp_path):
+    # 3 x 3 over GF(4096) has 2^36 - 1 nonzero vectors: listing them first
+    # ran out of memory
+    F = FieldSpec.get(4096)
+    path = tmp_path / "G.json"
+    _genfile(path, F, 3, [GroupElem.identity(F, 3)])
+    code, out, err = run(capsys, "check-triple", str(path), str(path), str(path),
+                         "--max-domain", "1000")
+    assert code == 2 and not out
+    assert err == f"error: domain size {4096 ** 3 - 1} exceeds cap 1000\n"
 
 
 def test_sweep_sub_is_passed_on(capsys):

@@ -12,7 +12,7 @@ from factorlab.construct import (
     gens_classical,
     parabolic_p1_sp_residual,
 )
-from factorlab.errors import CapExceeded, VerificationFailed
+from factorlab.errors import CapExceeded, DomainOverflow, VerificationFailed
 from factorlab.gf import FieldSpec
 from factorlab.linalg import GroupElem, MatF, SpaceFrame
 from factorlab.perm import (
@@ -123,6 +123,23 @@ def test_identity_only_chain():
     dom = nonzero_vectors(fr)
     chain = bsgs([GroupElem.identity(F, 2)], dom)
     assert chain.order() == 1
+
+
+def test_nonzero_vectors_over_the_cap_are_refused_before_they_are_listed():
+    # listing the 2^20 codes of GF(2)^20 first took a traced peak of 40 MiB
+    frame = SpaceFrame(FieldSpec.get(2), 20, None, tuple(f"v{i}" for i in range(20)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainOverflow, match=f"domain size {2 ** 20 - 1} exceeds cap 10"):
+            nonzero_vectors(frame, cap=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 16
+    small = SpaceFrame(FieldSpec.get(2), 4, None, ("a", "b", "c", "d"))
+    assert nonzero_vectors(small, cap=15).size == 15
+    with pytest.raises(DomainOverflow):
+        nonzero_vectors(small, cap=14)
 
 
 def test_a_target_order_with_no_generators_is_checked():

@@ -59,7 +59,7 @@ def test_tier_b_quick_cases(records):
     for case in tier_b_cases(records):
         if case.record.id not in wanted:
             continue
-        r = verify_tier_b(case, seed=0)
+        r = verify_tier_b(case)
         assert r.status == "PASS", (case.id, r.detail)
         assert r.computed["orderInt"] == r.expected["orderInt"]
 
@@ -74,19 +74,10 @@ def test_tier_b_implies_tier_a(records):
 
 def test_tier_b_sift_route_cross_checks(records):
     case = next(c for c in tier_b_cases(records) if c.record.id == "T8.1a")
-    r = verify_tier_b(case, seed=0)
+    r = verify_tier_b(case)
     assert r.status == "PASS"
     assert r.computed["orderInt"] == 4
     assert r.computed["cosetOrbit"] == 126  # criterion (f) agrees
-
-
-def test_seed_independence_of_tier_b(records):
-    case = next(c for c in tier_b_cases(records) if c.record.id == "T2.2")
-    r0 = verify_tier_b(case, seed=0)
-    r1 = verify_tier_b(case, seed=7)
-    assert r0.status == r1.status == "PASS"
-    assert r0.computed == r1.computed
-    assert r0.seed != r1.seed
 
 
 def test_sweep_summary_and_reports(records):
@@ -124,7 +115,7 @@ def test_tier_b_scale_cap_stops_before_building(records, monkeypatch):
     monkeypatch.setattr(verify, "_build_group", boom)
     monkeypatch.setattr(verify, "_build_domain", boom)
     case = next(c for c in tier_b_cases(records) if c.record.id == "T2.2")
-    r = verify_tier_b(case, seed=0, caps={"max_group": 10})
+    r = verify_tier_b(case, caps={"max_group": 10})
     assert r.status == "SKIPPED(scale)"
 
 
@@ -134,14 +125,14 @@ def test_tier_b_table_orders_are_computed_inside_the_guard(records, monkeypatch)
 
     case = next(c for c in tier_b_cases(records) if c.record.id == "T2.2")
     # an unbound symbol is a configuration problem, as in TIER A
-    r = verify_tier_b(ConcreteCase(case.record, {"m": 2}), seed=0)
+    r = verify_tier_b(ConcreteCase(case.record, {"m": 2}))
     assert r.status.startswith("SKIPPED(config:")
 
     def bad_order(shape, bindings):
         raise NonIntegralQuotient("3/2")
 
     monkeypatch.setattr(verify, "order_of", bad_order)
-    r = verify_tier_b(case, seed=0)
+    r = verify_tier_b(case)
     assert r.status == "FAIL" and r.detail == "construction: 3/2"
     assert r.expected == {}
     json.dumps(r.to_json())
@@ -189,7 +180,7 @@ def test_stab_route_builds_h_chain_on_the_smaller_faithful_domain(records, chain
     for case in tier_b_cases(records):
         if case.id in want:
             chain_domains.clear()
-            assert verify_tier_b(case, seed=0).status == "PASS"
+            assert verify_tier_b(case).status == "PASS"
             (got[case.id],) = chain_domains
     assert got == want
 
@@ -197,9 +188,9 @@ def test_stab_route_builds_h_chain_on_the_smaller_faithful_domain(records, chain
 def test_sift_route_builds_every_chain_on_the_smaller_faithful_domain(records, chain_domains):
     (bundled,) = tier_b_cases([r for r in records if r.id == "T8.1a"])
     (antiflags,) = tier_b_cases([_mutated(records, "T8.1a", domain=["RefinedAntiflags"])])
-    want = verify_tier_b(bundled, seed=0)
+    want = verify_tier_b(bundled)
     chain_domains.clear()
-    got = verify_tier_b(antiflags, seed=0)  # 2016 antiflags, H's and K's chains on 63 vectors
+    got = verify_tier_b(antiflags)  # 2016 antiflags, H's and K's chains on 63 vectors
     assert got.status == want.status == "PASS"
     assert got.computed == want.computed and got.computed["cosetOrbit"] == 126
     assert chain_domains == [("NonzeroVectors", 63)] * 2
@@ -321,7 +312,7 @@ FAIL_DETAILS = {
 def test_tier_b_fail_details_are_pinned(records, name):
     (rid, shapes, tier_b), detail, computed = FAIL_DETAILS[name]
     (case,) = tier_b_cases([_mutated(records, rid, shapes, **tier_b)])
-    r = verify_tier_b(case, seed=0)
+    r = verify_tier_b(case)
     assert (r.status, r.detail, r.computed) == ("FAIL", detail, computed)
     assert list(r.computed) == list(computed)  # facts in the order they were found
     assert set(r.expected) == {"orderG", "orderH", "orderK", "orderInt"}
@@ -331,5 +322,5 @@ def test_unknown_route_is_skipped_before_anything_is_built(records):
     # H is not even constructible: the route is looked up first
     broken = _mutated(records, "T1.1b", route="nope", H=["classical", "Sp", 3, 2])
     (case,) = tier_b_cases([broken])
-    r = verify_tier_b(case, seed=0)
+    r = verify_tier_b(case)
     assert (r.status, r.detail, r.computed) == ("SKIPPED(route nope)", "", {})

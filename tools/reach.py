@@ -82,6 +82,14 @@ def run_everything(tmp):
     other_field = tmp / "other_field.json"
     other_field.write_text(json.dumps({"field": gf2, "n": 1, "gens": [{"matrix": [[[1]]]}]}))
     gf9 = {"p": 3, "f": 2, "modulus": [1, 0, 1]}
+    bad_modulus = tmp / "bad_modulus.json"     # x^2 + 1 only modulo 3
+    bad_modulus.write_text(json.dumps({"field": {**gf9, "modulus": [4, 3, 4]}, "n": 1,
+                                       "gens": [{"matrix": [[[1, 0]]]}]}))
+    gf4096 = {"p": 2, "f": 12, "modulus": [1, 0, 0, 1] + [0] * 8 + [1]}
+    one, zero = [1] + [0] * 11, [0] * 12
+    big = tmp / "gf4096.json"                  # the identity on 2^36 - 1 nonzero vectors
+    big.write_text(json.dumps({"field": gf4096, "n": 3, "gens": [
+        {"matrix": [[one if i == j else zero for j in range(3)] for i in range(3)]}]}))
     bad_entries = []    # a GF(2) cell [7], a 3-digit GF(9) cell, frob 5 over GF(2), det 0
     for name, field, gen in (
             ("bad_cell", gf2, {"matrix": [[[1], [0]], [[0], [7]]]}),
@@ -113,6 +121,8 @@ def run_everything(tmp):
         ["check-triple", *triple, "--max-enum", "10"],
         ["check-triple", str(bad_json), *triple[1:]],
         ["check-triple", str(bad_field), *triple[1:]],
+        ["check-triple", str(bad_modulus), *triple[1:]],
+        ["check-triple", str(big), str(big), str(big), "--max-domain", "1000"],
         ["check-triple", str(bad_dim), *triple[1:]],
         ["check-triple", str(tmp / "missing.json"), *triple[1:]],
         ["check-triple", str(other_field), *triple[1:]],
@@ -122,10 +132,10 @@ def run_everything(tmp):
     codes = [(" ".join(argv).replace(f"{tmp}/", ""), _cli(argv)) for argv in commands]
 
     build_tables_db.build()
-    for name, (write, seed) in GOLDEN.items():
+    for name, write in GOLDEN.items():
         work = tmp / name.replace(".", "_")
         work.mkdir()
-        write(work / name, work, seed)
+        write(work / name, work)
     return codes
 
 

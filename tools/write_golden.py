@@ -22,10 +22,9 @@ from test_golden_reports import DATA, GOLDEN  # noqa: E402
 
 
 def write_golden(name):
-    write, seed = GOLDEN[name]
     with tempfile.TemporaryDirectory() as workdir:
         out = Path(workdir) / name
-        code = write(out, Path(workdir), seed)
+        code = GOLDEN[name](out, Path(workdir))
         if code != 0:
             raise SystemExit(f"{name}: the command exited {code}; nothing written")
         shutil.copyfile(out, DATA / name)

@@ -1,6 +1,10 @@
 """Command-line surface: list/show table rows, run verifications, sweep the
 database, export it, and check a user-supplied generator triple.
 
+Each command imports the modules it runs in its own body, so check-triple
+loads no more than the group and field code, and the table and verification
+modules load only for the commands that read the database.
+
 Exit codes: 0 when nothing failed, 1 on any FAIL, 2 on usage errors.
 """
 
@@ -10,20 +14,18 @@ import argparse
 import json
 import sys
 
-from .errors import DimensionMismatch, FactorLabError, FieldMismatch, NotSubgroup, UsageError
+from .errors import (
+    DEFAULT_CAPS,
+    DimensionMismatch,
+    DomainOverflow,
+    FactorLabError,
+    FieldMismatch,
+    NotSubgroup,
+    UsageError,
+)
 from .gf import FieldSpec
 from .linalg import GroupElem, SpaceFrame
 from .perm import bsgs, enumerate_and_sift, nonzero_vectors
-from .tables import DERIVED_DOC, admissible_bindings, export_db, load_db
-from .verify import (
-    DEFAULT_CAPS,
-    summarize,
-    sweep,
-    summary_line,
-    tier_b_cases,
-    verify_tier_a,
-    verify_tier_b,
-)
 
 
 _OPTIONS = {
@@ -124,6 +126,8 @@ def _select(records, args):
 
 
 def cmd_list(args):
+    from .tables import load_db
+
     records = _select(load_db(args.db), args)
     lines = []
     for r in records:
@@ -133,6 +137,8 @@ def cmd_list(args):
 
 
 def cmd_show(args):
+    from .tables import DERIVED_DOC, load_db
+
     records = _select(load_db(args.db), args)
     if not records:
         print("no rows match", file=sys.stderr)
@@ -183,6 +189,9 @@ def _parse_bindings(pairs):
 
 
 def cmd_verify(args):
+    from .tables import admissible_bindings, load_db
+    from .verify import summarize, tier_b_cases, verify_tier_a, verify_tier_b
+
     records = _select(load_db(args.db), args)
     if not records:
         print("no rows match", file=sys.stderr)
@@ -214,6 +223,8 @@ def cmd_verify(args):
 
 
 def _render(args, reports, summary):
+    from .verify import summary_line
+
     if args.format == "json":
         _emit(args, _reports_payload(reports, summary))
     else:
@@ -227,6 +238,9 @@ def _render(args, reports, summary):
 
 
 def cmd_sweep(args):
+    from .tables import load_db
+    from .verify import sweep
+
     records = _select(load_db(args.db), args)
     reports, summary = sweep(records, tier=args.tier, caps=_caps_from(args))
     _render(args, reports, summary)
@@ -234,21 +248,42 @@ def cmd_sweep(args):
 
 
 def cmd_export_db(args):
+    from .tables import export_db
+
     _emit(args, export_db(args.db))
     return 0
 
 
-def _load_genfile(path):
+def _check_space(p, e, cap):
+    """Refuse the p^e - 1 nonzero vectors of a genfile's space when they
+    exceed cap, before its field is built: FieldSpec tests p for primality by
+    trial division, about 1.5e9 steps for p = 2^61 - 1.  With p >= 2 the
+    loop stops within log2(cap + 2) steps.  The size is named exactly, as
+    nonzero_vectors names it, when it has at most 13000 bits (str() of an
+    int stops at 4300 digits)."""
+    size = 1
+    for _ in range(e):
+        size *= p
+        if size - 1 > cap:
+            size = p ** e - 1 if e * p.bit_length() <= 13000 else f"{p}^{e} - 1"
+            raise DomainOverflow(f"domain size {size} exceeds cap {cap}")
+
+
+def _load_genfile(path, max_domain):
     with open(path) as fh:
         try:
             doc = json.load(fh)
+            p, f, n = doc["field"]["p"], doc["field"]["f"], doc["n"]
+            if type(n) is not int or n < 1:
+                raise UsageError(f"{path}: the generators are not {n!r} x {n!r} matrices")
+            if type(p) is int and type(f) is int and p >= 2:  # FieldSpec refuses the rest
+                _check_space(p, f * n, max_domain)
             field = FieldSpec.deserialize(doc["field"])
             gens = [GroupElem.deserialize(field, g) for g in doc["gens"]]
-            n = doc["n"]
         except (ValueError, KeyError, TypeError, IndexError, DimensionMismatch) as e:
             # json.JSONDecodeError is a ValueError
             raise UsageError(f"{path}: not a generator file ({type(e).__name__}: {e})") from None
-    if type(n) is not int or n < 1 or any(g.n != n for g in gens):
+    if any(g.n != n for g in gens):
         raise UsageError(f"{path}: the generators are not {n!r} x {n!r} matrices")
     for k, g in enumerate(gens):
         if g.mat.det() == 0:
@@ -258,9 +293,9 @@ def _load_genfile(path):
 
 def cmd_check_triple(args):
     caps = _caps_from(args)
-    fG, nG, gG = _load_genfile(args.genfileG)
-    fH, nH, gH = _load_genfile(args.genfileH)
-    fK, nK, gK = _load_genfile(args.genfileK)
+    fG, nG, gG = _load_genfile(args.genfileG, caps["max_domain"])
+    fH, nH, gH = _load_genfile(args.genfileH, caps["max_domain"])
+    fK, nK, gK = _load_genfile(args.genfileK, caps["max_domain"])
     if not (fG == fH == fK) or not (nG == nH == nK):
         raise FieldMismatch("the three generator files must share a field and dimension")
     frame = SpaceFrame(fG, nG, None, tuple(f"v{i+1}" for i in range(nG)))

@@ -17,9 +17,8 @@ never checks that H's generators lie in G (ROADMAP item 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
+    DEFAULT_CAPS,
     IllegalParameters,
     NoTower,
     SignParityMismatch,
@@ -48,17 +47,20 @@ from .perm import _decode, bsgs, form_values, nonzero_vectors
 from .shapes import classical_order
 
 
-@dataclass
 class GroupPresentationSpec:
-    family: str
-    n: int
-    q: int
-    frame: SpaceFrame
-    gens: list
-    expected_order: int
-    name: str = ""
+    """A group given by its generators on the space of frame, with the order
+    the formula gives it."""
 
-    def validate(self, order_cap=10 ** 9):
+    def __init__(self, family, n, q, frame, gens, expected_order, name=""):
+        self.family = family
+        self.n = n
+        self.q = q
+        self.frame = frame
+        self.gens = gens
+        self.expected_order = expected_order
+        self.name = name
+
+    def validate(self, order_cap=DEFAULT_CAPS["max_group"]):
         """Gate-check: isometry/Omega membership always, BSGS order when small."""
         form = self.frame.form
         for g in self.gens:

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the default of each cap
+that bounds a computation (a cap exceeded raises CapExceeded or
+DomainOverflow below)."""
+
+DEFAULT_CAPS = {
+    "max_order": 10 ** 40,  # TIER-A binding enumeration cap on |G0|
+    "max_group": 10 ** 9,   # BSGS order cap
+    "max_domain": 1 << 20,  # faithful domain size cap
+    "max_enum": 10 ** 6,    # enumerate-and-sift cap on |H|
+}
 
 
 class FactorLabError(Exception):

@@ -71,6 +71,7 @@ from itertools import product
 from operator import eq, itemgetter
 
 from .errors import (
+    DEFAULT_CAPS,
     CapExceeded,
     DomainOverflow,
     NotFaithful,
@@ -79,8 +80,8 @@ from .errors import (
 )
 from .linalg import GroupElem
 
-DEFAULT_DOMAIN_CAP = 1 << 20
-DEFAULT_ENUM_CAP = 10 ** 6
+DEFAULT_DOMAIN_CAP = DEFAULT_CAPS["max_domain"]
+DEFAULT_ENUM_CAP = DEFAULT_CAPS["max_enum"]
 
 
 def _picker(indices):

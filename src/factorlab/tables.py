@@ -12,44 +12,49 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
 
-from .errors import FactorLabError, ManifestMismatch, NonIntegralQuotient
+from .errors import DEFAULT_CAPS, FactorLabError, ManifestMismatch, NonIntegralQuotient
 from .gf import is_prime_power
 from .shapes import arith_eval, arith_symbols, order_of, parse_condition, parse_shape
 
-DEFAULT_ORDER_CAP = 10 ** 40
+DEFAULT_ORDER_CAP = DEFAULT_CAPS["max_order"]
 
 _DB_ENV = "FACTORLAB_DB"
 
 
-@dataclass
 class FactorizationRecord:
-    id: str
-    table: int
-    row: int
-    sub: str | None
-    family: str
-    shapes: dict          # raw strings for G, H, K, int
-    asts: dict            # parsed shapes
-    params: list
-    where: list           # raw constraint strings
-    where_asts: tuple     # parsed constraints
-    expr_asts: tuple      # (param name, parsed expr) pairs
-    derived: dict
-    ref: str
-    tier_b: dict | None
-    remarks: str
+    """One table row as load_db reads it."""
+
+    def __init__(self, id, table, row, sub, family, shapes, asts, params, where,
+                 where_asts, expr_asts, derived, ref, tier_b, remarks):
+        self.id = id
+        self.table = table
+        self.row = row
+        self.sub = sub                  # str or None
+        self.family = family
+        self.shapes = shapes            # raw strings for G, H, K, int
+        self.asts = asts                # parsed shapes
+        self.params = params
+        self.where = where              # raw constraint strings
+        self.where_asts = where_asts    # parsed constraints
+        self.expr_asts = expr_asts      # (param name, parsed expr) pairs
+        self.derived = derived
+        self.ref = ref
+        self.tier_b = tier_b            # dict or None
+        self.remarks = remarks
 
     def shape(self, key):
         return self.asts[key]
 
 
-@dataclass
 class ConcreteCase:
-    record: FactorizationRecord
-    bindings: dict
-    orders: dict = field(default_factory=dict)
+    """A record at one binding; orders, when known, maps G, H, K and int to
+    their exact orders."""
+
+    def __init__(self, record, bindings, orders=None):
+        self.record = record
+        self.bindings = bindings
+        self.orders = {} if orders is None else orders
 
     @property
     def id(self):

@@ -10,38 +10,44 @@ an orbit/stabilizer computation on a geometric domain ("stab") or by
 enumerate-and-sift with the criterion (f) cross-check ("sift").  Every chain
 goes on the smaller of the geometric domain and the nonzero vectors.  The
 first fact that disagrees with the tables ends the case as a FAIL.
+
+The caps default to errors.DEFAULT_CAPS.  Reports are plain classes and a
+crash's innermost frame is read off its traceback object, so a sweep
+imports neither dataclasses nor traceback: every command-line run pays for
+each module it imports.
 """
 
 from __future__ import annotations
 
 import os
 import time
-import traceback
-from dataclasses import dataclass, field
 
-from .errors import CapExceeded, DomainOverflow, FactorLabError, FieldMismatch, UnboundSymbol
+from .errors import (
+    DEFAULT_CAPS,
+    CapExceeded,
+    DomainOverflow,
+    FactorLabError,
+    FieldMismatch,
+    UnboundSymbol,
+)
 from . import construct, perm
 from .perm import _frontier_orbit, bsgs, compose, enumerate_and_sift, orbit, solvable_residual
 from .shapes import order_of
-from .tables import DEFAULT_ORDER_CAP, ConcreteCase, _derived_expansions, admissible_bindings
-
-DEFAULT_CAPS = {
-    "max_order": DEFAULT_ORDER_CAP,         # TIER-A binding enumeration cap on |G0|
-    "max_group": 10 ** 9,                   # BSGS order cap
-    "max_domain": perm.DEFAULT_DOMAIN_CAP,  # faithful domain size cap
-    "max_enum": perm.DEFAULT_ENUM_CAP,      # enumerate-and-sift cap on |H|
-}
+from .tables import ConcreteCase, _derived_expansions, admissible_bindings
 
 
-@dataclass
 class VerificationReport:
-    case_id: str
-    tier: str
-    status: str                 # PASS | FAIL | SKIPPED(reason)
-    computed: dict = field(default_factory=dict)
-    expected: dict = field(default_factory=dict)
-    elapsed_ms: int = 0
-    detail: str = ""
+    """The outcome of one case; status is PASS, FAIL or SKIPPED(reason)."""
+
+    def __init__(self, case_id, tier, status, computed=None, expected=None, elapsed_ms=0,
+                 detail=""):
+        self.case_id = case_id
+        self.tier = tier
+        self.status = status
+        self.computed = {} if computed is None else computed
+        self.expected = {} if expected is None else expected
+        self.elapsed_ms = elapsed_ms
+        self.detail = detail
 
     def to_json(self):
         # elapsed_ms is intentionally left out: JSON reports are specified to
@@ -200,8 +206,10 @@ def verify_tier_b(case: ConcreteCase, caps=None) -> VerificationReport:
     except FactorLabError as e:
         detail = f"construction: {e}"
     except Exception as e:  # a bug in one case must not abort a sweep
-        where = traceback.extract_tb(e.__traceback__)[-1]
-        at = f"{os.path.basename(where.filename)}:{where.lineno}"
+        tb = e.__traceback__
+        while tb.tb_next is not None:   # the innermost frame, where e was raised
+            tb = tb.tb_next
+        at = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
         detail = f"internal: {type(e).__name__}: {e} ({at})"
     return VerificationReport(
         case.id, "B", "FAIL" if detail else "PASS",

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -320,6 +324,36 @@ def test_max_domain_is_refused_before_the_vectors_are_listed(capsys, tmp_path):
                          "--max-domain", "1000")
     assert code == 2 and not out
     assert err == f"error: domain size {4096 ** 3 - 1} exceeds cap 1000\n"
+
+
+def test_max_domain_is_refused_before_the_field_is_built(tmp_path):
+    # GF(2^61 - 1): testing p by trial division took about 1.5e9 steps before
+    # the cap refused the 2^61 - 2 vectors; run in a subprocess with a timeout,
+    # so that a check in the old order fails instead of hanging the suite
+    p = 2 ** 61 - 1
+    path = tmp_path / "G.json"
+    path.write_text(json.dumps({"field": {"p": p, "f": 1, "modulus": [p - 1, 1]}, "n": 1,
+                                "gens": [{"matrix": [[[1]]]}]}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "factorlab.cli", "check-triple", *[str(path)] * 3,
+         "--max-domain", "1000"],
+        capture_output=True, text=True, env=env, timeout=5,
+    )
+    assert done.returncode == 2 and not done.stdout
+    assert done.stderr == f"error: domain size {p - 1} exceeds cap 1000\n"
+
+
+def test_a_space_too_large_to_print_is_refused_in_one_line(capsys, tmp_path):
+    # 2^20000 - 1 has over 6000 digits, and str() of an int stops at 4300:
+    # naming it exactly raised a ValueError with a traceback
+    path = tmp_path / "G.json"
+    path.write_text(json.dumps({"field": {"p": 2, "f": 1, "modulus": [1, 1]}, "n": 20000,
+                                "gens": []}))
+    code, out, err = run(capsys, "check-triple", *[str(path)] * 3)
+    assert code == 2 and not out
+    assert err == "error: domain size 2^20000 - 1 exceeds cap 1048576\n"
 
 
 def test_sweep_sub_is_passed_on(capsys):

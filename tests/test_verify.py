@@ -150,8 +150,9 @@ def test_tier_b_internal_error_is_a_per_case_fail(records, monkeypatch):
     assert summary["fail"] == 3
     for r in reports:
         assert r.status == "FAIL"
-        # the innermost frame is named, here the patched-in function
-        assert r.detail.startswith("internal: RuntimeError: boom (test_verify.py:")
+        # the innermost frame is named, here the patched-in function's raise
+        at = f"test_verify.py:{broken.__code__.co_firstlineno + 1}"
+        assert r.detail == f"internal: RuntimeError: boom ({at})"
 
 
 @pytest.fixture

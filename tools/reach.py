@@ -90,6 +90,10 @@ def run_everything(tmp):
     big = tmp / "gf4096.json"                  # the identity on 2^36 - 1 nonzero vectors
     big.write_text(json.dumps({"field": gf4096, "n": 3, "gens": [
         {"matrix": [[one if i == j else zero for j in range(3)] for i in range(3)]}]}))
+    p61 = 2 ** 61 - 1
+    big_prime = tmp / "gf_p61.json"           # p tested by trial division before the cap
+    big_prime.write_text(json.dumps({"field": {"p": p61, "f": 1, "modulus": [p61 - 1, 1]},
+                                     "n": 1, "gens": [{"matrix": [[[1]]]}]}))
     bad_entries = []    # a GF(2) cell [7], a 3-digit GF(9) cell, frob 5 over GF(2), det 0
     for name, field, gen in (
             ("bad_cell", gf2, {"matrix": [[[1], [0]], [[0], [7]]]}),
@@ -123,6 +127,7 @@ def run_everything(tmp):
         ["check-triple", str(bad_field), *triple[1:]],
         ["check-triple", str(bad_modulus), *triple[1:]],
         ["check-triple", str(big), str(big), str(big), "--max-domain", "1000"],
+        ["check-triple", str(big_prime), str(big_prime), str(big_prime), "--max-domain", "1000"],
         ["check-triple", str(bad_dim), *triple[1:]],
         ["check-triple", str(tmp / "missing.json"), *triple[1:]],
         ["check-triple", str(other_field), *triple[1:]],

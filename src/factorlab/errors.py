@@ -18,6 +18,10 @@ class FieldMismatch(FactorLabError):
     pass
 
 
+class FormMismatch(FactorLabError):
+    pass
+
+
 class DivisionByZero(FactorLabError):
     pass
 

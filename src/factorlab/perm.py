@@ -32,35 +32,29 @@ right: (point^(g*h)) = h[g[point]].  Sifting acts on words, lists of
 permutations whose product is never formed unless it has to be kept: a
 level's base point is followed through the word by lookups.  A domain may
 carry a known base, points that only the identity of GammaL(V) fixes (for
-nonzero vectors: e_1..e_n and, over a proper extension of GF(p), x e_1);
-then a word of group elements that sifts through every level is the
-identity exactly when it fixes those few points.
+nonzero vectors: e_1..e_n and, over a proper extension of GF(p), x e_1); a
+chain given none takes every point, which only the identity of Sym(n) fixes.
+A word that sifts through every level fixes every base point of the chain,
+so it is the identity exactly when it fixes the known-base points that are
+not base points: a sift's one verdict follows those alone, and none when the
+chain's bases cover the known base.
 
 Every stabilizer chain is built by one deterministic Schreier-Sims; a
 normal closure grows one chain in place.  A sift residue that is not in the
 group becomes a strong generator at the level the sift stopped at, whose
 base it moves; past the last level it opens a new level whose base is the
-first point it moves (any moved point will do, Seress 2003, 4.2).  A chain
-level keeps a Schreier tree of its base point's orbit.  The tree grows in
-place when a strong generator arrives, so a transversal element u_p, once
-built, stays valid.  Sifts and Schreier generators never
-form u_p or u_p^-1: they extend a word by the generators on the tree path
-from the base down to p, or by their inverses on the way back up (Schreier
-vectors), with one inverse per generator shared by all levels of the chain.
-A level keeps each point's inverse word once built: the inverse of the last
-edge, then the parent's kept word, so it holds one reference per edge and no
-permutation of its own, and stays valid as the tree grows.  A sift extends
-the list it is given in place, by kept words, so every caller hands it a
-list just built (the closure builds each Schreier generator as one).  A word
-that passes every level fixes every base point of the chain, so with a known
-base a sift follows only the known-base points that are not base points, and
-none when the chain's bases cover the known base.  enumerate_and_sift and
-elements() walk a group as words of tree paths too; enumerate_and_sift grows
-the images of K's first base point along the tree of H's first level, one
-lookup per point, since the tree lists each parent before its children.
-Only coset keys keep whole transversal elements.  The closure sifts each
-Schreier generator once: a level counts, per orbit point, the generators
-already tested there.
+first point it moves (any moved point will do, Seress 2003, 4.2).  Level 0
+lists every strong generator once.  A level keeps a Schreier tree of its
+base point's orbit, grown in place when a strong generator arrives, so tree
+paths stay valid.  Sifts and Schreier generators never form a transversal
+element u_p or its inverse: they extend a word by the generators on the tree
+path from the base down to p, or by their inverses on the way back up
+(Schreier vectors), and a level keeps each point's inverse word once built,
+one reference per edge.  A sift extends the list it is given in place, so
+every caller hands it a list just built.  enumerate_and_sift and elements()
+walk a group as words of tree paths too; only coset keys keep whole
+transversal elements.  The closure sifts each Schreier generator once: a
+level counts, per orbit point, the generators already tested there.
 """
 
 from __future__ import annotations
@@ -68,6 +62,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from itertools import product
+from math import prod
 from operator import eq, itemgetter
 
 from .errors import (
@@ -377,8 +372,10 @@ def singular_vectors(frame, cap=DEFAULT_DOMAIN_CAP) -> Domain:
 
 def refined_antiflags(frame, cap=DEFAULT_DOMAIN_CAP) -> Domain:
     """Pairs {v, W}: v nonzero, W a complementary hyperplane, encoded as
-    (v, phi) with W = ker(phi) and phi(v) = 1."""
+    (v, phi) with W = ker(phi) and phi(v) = 1.  There are (q^n - 1) q^(n-1),
+    so a size over the cap is refused before any pair is listed."""
     F = frame.field
+    _check_size((F.q ** frame.n - 1) * F.q ** (frame.n - 1), cap)
 
     def dot(u, w):
         acc = 0
@@ -576,16 +573,16 @@ class StabChain:
     base is the first point its first strong generator moves, and only
     coset_key keeps whole transversal elements (_Level.rep).
 
-    known_base, when given, lists points that only the identity of the
-    ambient group fixes; every permutation the chain is built from or asked
-    about must then lie in that group (Domain.known_base).  _known_rest
-    lists the known-base points that are not base points of the chain, the
-    only ones a sift still has to follow.
+    known_base lists points that only the identity of the ambient group
+    fixes, and every permutation the chain meets must lie in that group
+    (Domain.known_base); by default it is every point, and the ambient group
+    is Sym(n_points).  _known_rest lists the known-base points that are not
+    base points, the only ones a sift still has to follow.
     """
 
     def __init__(self, gens, n_points, target_order=None, known_base=None):
         self.n = n_points
-        self._known_rest = None if known_base is None else list(known_base)
+        self._known_rest = list(range(n_points) if known_base is None else known_base)
         self.levels = []
         self._invs = {}
         for g in gens:
@@ -602,7 +599,7 @@ class StabChain:
         if level_idx == len(self.levels):
             base = next(x for x, y in enumerate(g) if x != y)
             self.levels.append(_Level(base, self._invs))
-            if self._known_rest is not None and base in self._known_rest:
+            if base in self._known_rest:
                 self._known_rest.remove(base)
         for lvl in self.levels[: level_idx + 1]:
             lvl.add_gen(g)
@@ -610,21 +607,17 @@ class StabChain:
     def _sift(self, word, start=0):
         """Sift the product of word through the levels from start on.
 
-        word is a list of permutations, applied left to right; its product
-        must fix the first start base points.  Returns (residue, level): the
-        residue is word itself, extended in place, level by level, by the
-        kept word of generator inverses on the tree path from the base
-        point's image up to the base, and level is None when the product is
-        in the group, else the first depth the residue fails at.  So a caller
-        hands in a list it has just built, never a kept word.  Each level
+        word is a list of permutations, applied left to right, whose product
+        fixes the first start base points; the sift extends it in place, so
+        a caller hands in a list just built, never a kept word.  Each level
         follows its base point through the word in a loop of its own and
-        takes the kept word of the image; orbit membership is tested, and
-        path_inv called, only when no word is kept for the image yet.  A
-        residue that passes every level fixes every base point of the chain,
-        since the words of a level fix the earlier base points.  So with a
-        known base no product is formed: the verdict follows the known-base
-        points that are not chain base points through the word, one by one,
-        up to the first that moves, and none when there are none.
+        appends the kept inverse word of the image's tree path (tested for
+        orbit membership, and built by path_inv, only when none is kept).
+        Returns (residue, level): level is None when the product is in the
+        group, else the first depth the residue fails at.  A residue past
+        every level fixes every base point, so no product is formed: the one
+        verdict follows the points of _known_rest through the word, one by
+        one, up to the first that moves.
         """
         levels = self.levels
         for i in range(start, len(levels)):
@@ -640,8 +633,6 @@ class StabChain:
                     return word, i
                 kept = lvl.path_inv(img)
             word += kept
-        if self._known_rest is None:
-            return word, (None if is_identity(_product(word, self.n)) else len(levels))
         for x in self._known_rest:
             y = x
             for g in word:
@@ -654,10 +645,7 @@ class StabChain:
         return self._sift([g])[1] is None
 
     def order(self) -> int:
-        acc = 1
-        for lvl in self.levels:
-            acc *= len(lvl.orbit)
-        return acc
+        return prod(len(lvl.orbit) for lvl in self.levels)
 
     def _absorb(self, word, start=0):
         """Sift word from level start on and, if it is not in the group,
@@ -708,10 +696,8 @@ class StabChain:
     # derived data ----------------------------------------------------------
 
     def strong_gens(self):
-        out = []
-        for lvl in self.levels:
-            out.extend(lvl.gens)
-        return out
+        """Every strong generator once: level 0's list (_add_gen), not a copy."""
+        return self.levels[0].gens if self.levels else []
 
     def elements(self, cap=DEFAULT_ENUM_CAP):
         """Iterate all elements as permutation lists: the products of the
@@ -727,12 +713,7 @@ class StabChain:
         """Canonical key of the right coset (this group) * g."""
         cur = list(g)
         for lvl in self.levels:
-            best_p, best_img = None, None
-            for p in lvl.orbit:
-                img = cur[p]
-                if best_img is None or img < best_img:
-                    best_p, best_img = p, img
-            u = lvl.rep(best_p)
+            u = lvl.rep(min(lvl.orbit, key=cur.__getitem__))
             if u is not None:
                 cur = compose(u, cur)
         return tuple(cur)

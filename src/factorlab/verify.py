@@ -28,6 +28,7 @@ from .errors import (
     DomainOverflow,
     FactorLabError,
     FieldMismatch,
+    FormMismatch,
     UnboundSymbol,
 )
 from . import construct, perm
@@ -137,17 +138,28 @@ def _build_chain(spec, residual, dom, caps):
     return bsgs(spec.gens, dom, target_order=spec.expected_order)
 
 
-def _build_domain(desc, frame, bindings, ambient, cap):
-    (role, builder, *seeder), args = _recipe(desc, bindings)
-    build = getattr(perm, builder)
-    if role == "frame":
-        return build(frame, *args, cap)
-    if ambient is None:
-        raise FactorLabError(f"domain {desc[0]} needs an ambient")
-    amb, _ = _build_group(ambient, bindings)
+def _build_ambient(desc, frame, bindings):
+    """The ambient group; it must act on H's space, and preserve H's form
+    (kind, Gram matrix, Q on the basis) when it has a form."""
+    amb, _ = _build_group(desc, bindings)
     if (amb.frame.field, amb.frame.n) != (frame.field, frame.n):
         raise FieldMismatch(f"the ambient acts on {amb.frame.field}^{amb.frame.n}, "
                             f"H on {frame.field}^{frame.n}")
+    form, h_form = (f and (f.kind, f.gram, f.qdiag) for f in (amb.frame.form, frame.form))
+    if form not in (None, h_form):
+        raise FormMismatch(f"the ambient's {form[0]} form differs from H's form")
+    return amb
+
+
+def _build_domain(desc, frame, bindings, ambient, cap):
+    """The domain a recipe names; an ambient is checked for either role."""
+    (role, builder, *seeder), args = _recipe(desc, bindings)
+    build = getattr(perm, builder)
+    amb = None if ambient is None else _build_ambient(ambient, frame, bindings)
+    if role == "frame":
+        return build(frame, *args, cap)
+    if amb is None:
+        raise FactorLabError(f"domain {desc[0]} needs an ambient")
     return build(amb.frame, getattr(construct, seeder[0])(amb.frame, *args), amb.gens, cap)
 
 

@@ -22,6 +22,7 @@ from factorlab.shapes import classical_order, factorize, parse_shape, ppd, print
 from factorlab.tables import ConcreteCase, load_db
 from factorlab.verify import (
     _coset_orbit_size,
+    summarize,
     sweep,
     tier_b_cases,
     verify_tier_a,
@@ -122,10 +123,19 @@ def test_criterion_2_order_oracle():
 # -- criterion 3: full TIER-A sweep ----------------------------------------------
 
 
-def test_criterion_3_tier_a_sweep(records):
+@pytest.fixture(scope="module")
+def full_sweep(records):
+    """One `sweep --tier both` over the bundled database, and its wall time:
+    criterion 3 reads its TIER-A reports, criterion 8 compares it with a
+    second run."""
     t0 = time.time()
-    reports, summary = sweep(records, tier="a")
-    elapsed = time.time() - t0
+    reports, summary = sweep(records, tier="both")
+    return reports, summary, time.time() - t0
+
+
+def test_criterion_3_tier_a_sweep(full_sweep):
+    reports, _, elapsed = full_sweep    # the TIER-A part takes nearly all of it
+    summary = summarize([r for r in reports if r.tier == "A"])
     _report(
         f"criterion 3: TIER-A sweep, {summary['cases']} cases",
         summary["fail"] == 0 and summary["cases"] >= 300 and elapsed < 60,
@@ -297,16 +307,17 @@ def test_criterion_7_roundtrip_and_negatives(records):
 # -- criterion 8: determinism -----------------------------------------------------
 
 
-def _full_json(records):
-    reports, summary = sweep(records, tier="both")
+def _full_json(reports, summary):
     return json.dumps(
         {"reports": [r.to_json() for r in reports], "summary": summary},
         indent=1, sort_keys=True,
     )
 
 
-def test_criterion_8_determinism(records):
+def test_criterion_8_determinism(records, full_sweep):
+    # the shared sweep is the first run, this one the second
     t0 = time.time()
-    assert _full_json(records) == _full_json(records), "two runs must give byte-identical JSON"
-    elapsed = time.time() - t0
+    second = _full_json(*sweep(records, tier="both"))
+    assert _full_json(*full_sweep[:2]) == second, "two runs must give byte-identical JSON"
+    elapsed = full_sweep[2] + time.time() - t0
     _report("criterion 8: determinism (byte-identical JSON)", True, f"{elapsed:.1f}s")

@@ -142,6 +142,25 @@ def test_nonzero_vectors_over_the_cap_are_refused_before_they_are_listed():
         nonzero_vectors(small, cap=14)
 
 
+def test_refined_antiflags_over_the_cap_are_refused_before_they_are_listed(monkeypatch):
+    # GF(2)^12 has (2^12 - 1) 2^11 refined antiflags, found by a loop over
+    # all 2^24 pairs of codes; the count is known, so the cap needs no loop
+    import factorlab.perm as perm
+
+    def unlisted(frame):
+        raise AssertionError("the codes were listed before the cap was checked")
+
+    frame = SpaceFrame(FieldSpec.get(2), 12, None, tuple(f"v{i}" for i in range(12)))
+    with monkeypatch.context() as m:
+        m.setattr(perm, "_all_vectors", unlisted)
+        with pytest.raises(DomainOverflow, match=f"domain size {4095 * 2048} exceeds cap 10"):
+            refined_antiflags(frame, cap=10)
+    small = SpaceFrame(FieldSpec.get(3), 2, None, ("a", "b"))
+    assert refined_antiflags(small, cap=24).size == 8 * 3
+    with pytest.raises(DomainOverflow):
+        refined_antiflags(small, cap=23)
+
+
 def test_a_target_order_with_no_generators_is_checked():
     F, _ = sl2_2_gens()
     dom = nonzero_vectors(SpaceFrame.symplectic(F, 1))
@@ -702,3 +721,43 @@ def test_a_sift_follows_only_the_known_base_points_no_level_fixes():
     assert verdicts == [plain.contains(g) for g in samples]
     assert verdicts.count(True) >= 50 and not any(chainH.contains(g) for g in fixing)
     assert all(chainG.contains(g) for g in samples)
+
+
+def test_strong_gens_lists_each_strong_generator_once():
+    # a strong generator of level i is one of the generators of levels 0..i;
+    # level 0 lists every one once, and the derived series and the coset
+    # orbit read that list
+    sp = gens_classical("Sp", 4, 3)
+    dom = nonzero_vectors(sp.frame)
+    chain = bsgs(sp.gens, dom)
+    assert len(chain.levels) >= 2
+    gens = chain.strong_gens()
+    assert gens == chain.levels[0].gens
+    assert len({id(g) for g in gens}) == len(gens)
+    assert all(any(h is g for h in gens) for lvl in chain.levels for g in lvl.gens)
+    assert StabChain(gens, dom.size).order() == chain.order() == 51840
+
+
+def test_a_chain_without_a_known_base_forms_no_product_to_sift(monkeypatch):
+    # with no known base every point is known: a verdict follows the points
+    # that are not base points, up to the first that moves
+    import factorlab.perm as perm
+
+    dom, ambient = _ambient("Sp", 4, 3)
+    rng = random.Random(4)
+    gens = ambient.levels[1].gens
+    plain = StabChain(gens, dom.size)
+    based = StabChain(gens, dom.size, known_base=dom.known_base)
+    assert _levels(plain) == _levels(based)
+    samples = [random_element(ambient, rng) for _ in range(40)]
+    samples += [random_element(plain, rng) for _ in range(40)]
+    samples += [list(range(dom.size))]
+    calls = []
+    monkeypatch.setattr(perm, "_product", lambda *args: calls.append("_product"))
+    monkeypatch.setattr(perm, "is_identity", lambda *args: calls.append("is_identity"))
+    verdicts = [plain.contains(g) for g in samples]
+    assert calls == []
+    assert verdicts == [based.contains(g) for g in samples]
+    assert 40 < verdicts.count(True) < len(samples)
+    bases = [lvl.base for lvl in plain.levels]
+    assert sorted(plain._known_rest + bases) == list(range(dom.size))

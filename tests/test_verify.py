@@ -306,6 +306,18 @@ FAIL_DETAILS = {
     "no ambient": (
         ("T6.19", [], {"ambient": None}),
         "construction: domain MinusPairOrbit needs an ambient", {}),
+    # a frame domain's ambient is checked too: both PASSed with it ignored
+    "frame ambient of another space": (
+        ("T1.1b", [], {"ambient": ["classical", "Sp", 2, 97]}),
+        "construction: the ambient acts on GF(97)^2, H on GF(2)^4", {}),
+    "antiflag ambient of another space": (
+        ("T1.3a", [], {"ambient": ["classical", "Sp", 2, 97]}),
+        "construction: the ambient acts on GF(97)^2, H on GF(2)^4", {}),
+    # Sp(8,2) acts on H's GF(2)^8 but preserves no quadratic form: its orbit
+    # of minus pairs has 32640 points, which blamed the table's [G:K]
+    "ambient with another form": (
+        ("T6.19", [], {"ambient": ["classical", "Sp", 8, 2]}),
+        "construction: the ambient's alternating form differs from H's form", {}),
 }
 
 
@@ -317,6 +329,23 @@ def test_tier_b_fail_details_are_pinned(records, name):
     assert (r.status, r.detail, r.computed) == ("FAIL", detail, computed)
     assert list(r.computed) == list(computed)  # facts in the order they were found
     assert set(r.expected) == {"orderG", "orderH", "orderK", "orderInt"}
+
+
+@pytest.mark.parametrize("name", ["frame ambient of another space",
+                                  "antiflag ambient of another space",
+                                  "ambient with another form"])
+def test_an_ambient_off_h_space_is_refused_before_any_table_is_built(records, name,
+                                                                     monkeypatch):
+    import factorlab.perm as perm
+
+    built = []
+    for fn in ("vector_table", "form_values", "nonzero_vectors", "refined_antiflags",
+               "ordered_vector_pairs"):
+        monkeypatch.setattr(perm, fn, lambda *args, fn=fn, **kw: built.append(fn))
+    (rid, shapes, tier_b), detail, _ = FAIL_DETAILS[name]
+    (case,) = tier_b_cases([_mutated(records, rid, shapes, **tier_b)])
+    assert verify_tier_b(case).detail == detail
+    assert built == []
 
 
 def test_unknown_route_is_skipped_before_anything_is_built(records):

@@ -8,6 +8,10 @@ some entries and square blocks set, and _regroup rewrites elements from a
 grouped basis (e_1..e_m, f_1..f_m) into the frame's.  The radical:Levi
 builders (pm_residual, parabolic_p1_sp_residual) are built from these two.
 
+Every form is a FormSpec: blown_up_form builds Tr o beta on GF(q)^(ab) once
+from the blown-up basis, and twisted_frobenius moves each coefficient of its
+frame's form by sigma^j, before the Witt decomposition (standard_basis).
+
 GroupPresentationSpec.validate is the gate: generators must be isometries of
 the intended form (plus the Omega-membership test where that applies), and
 the BSGS order must equal the order formula whenever the group is small
@@ -39,7 +43,6 @@ from .linalg import (
     standard_basis,
     unit_vector,
     vec_add,
-    vec_frob,
     vec_mat,
     vec_scale,
 )
@@ -381,6 +384,24 @@ def unblow_vector(ext: FieldSpec, sub: FieldSpec, v_big):
     return tuple(out)
 
 
+def blown_up_form(form: FormSpec, sub: FieldSpec) -> FormSpec:
+    """The form Tr o beta on the GF(q)^(ab) that blowup_elem acts on, for a
+    form beta on GF(q^b)^a: an alternating form stays alternating, and a
+    quadratic form Q gives Tr o Q, a hermitian one (b = 2) Q(v) = beta(v, v).
+    Its Gram matrix and its values on the blown-up basis determine it."""
+    ext = form.owner
+    n = form.n * (ext.f // sub.f)
+    unb = [unblow_vector(ext, sub, unit_vector(n, i)) for i in range(n)]
+    gram = MatF(sub, [[ext.trace_to(form.bilinear(u, w), sub) for w in unb] for u in unb])
+    if form.kind == "alternating":
+        return FormSpec("alternating", gram)
+    if form.kind == "hermitian":
+        qdiag = [ext.restrict(form.bilinear(u, u), sub) for u in unb]
+    else:
+        qdiag = [ext.trace_to(form.quadratic(u), sub) for u in unb]
+    return FormSpec("quadratic", gram, qdiag)
+
+
 # -- named recipes ------------------------------------------------------------
 
 
@@ -410,17 +431,10 @@ def su_in_omega(m: int, q: int, sign: str) -> GroupPresentationSpec:
         raise SignParityMismatch(f"SU_{m}({q}) embeds in type {expected_sign}, not {sign}")
     sub = FieldSpec.get(q)
     su = gens_classical("SU", m, q)
-    ext = su.frame.field
-    hermitian = su.frame.form
     big = [blowup_elem(g, sub) for g in su.gens]
     n = 2 * m
     frame_std = SpaceFrame.quadratic(sub, n, sign)
-
-    def qfun(v_big):
-        v = unblow_vector(ext, sub, v_big)
-        return ext.restrict(hermitian.bilinear(v, v), sub)
-
-    P, found = standard_basis(sub, n, qfun, target_mu=frame_std.mu)
+    P, found = standard_basis(blown_up_form(su.frame.form, sub), target_mu=frame_std.mu)
     if found != sign:
         raise SignParityMismatch(f"blow-up produced type {found}, wanted {sign}")
     gens = rebase(big, P)
@@ -443,35 +457,22 @@ def ext_field_subgroup(ambient: str, a: int, b: int, q: int, sign: str = None):
     n = 2 * a * b
     if ambient == "Sp":
         inner = gens_classical("Sp", 2 * a, ext.q)
-        big = [blowup_elem(g, sub) for g in inner.gens]
-        bil_ext = inner.frame.form.bilinear
-        unb = [unblow_vector(ext, sub, unit_vector(n, i)) for i in range(n)]
-        gram = MatF(
-            sub,
-            [[ext.trace_to(bil_ext(unb[i], unb[j]), sub) for j in range(n)] for i in range(n)],
-        )
-        P, _ = standard_basis(sub, n, lambda v: 0, FormSpec("alternating", gram).bilinear)
+        P, _ = standard_basis(blown_up_form(inner.frame.form, sub))
         frame = SpaceFrame.symplectic(sub, n // 2)
         kind, name = "SpExtField", f"Sp({2*a},{ext.q})<Sp({n},{q})"
     elif ambient == "Omega":
         if sign not in ("+", "-"):
             raise IllegalParameters("Omega ext-field subgroup needs a sign")
         inner = gens_classical("Omega" + sign, 2 * a, ext.q)
-        big = [blowup_elem(g, sub) for g in inner.gens]
-        qf_ext = inner.frame.form.quadratic
-        frame_minus = SpaceFrame.quadratic(sub, n, "-")
-
-        def qfun(v_big):
-            return ext.trace_to(qf_ext(unblow_vector(ext, sub, v_big)), sub)
-
-        P, found = standard_basis(sub, n, qfun, target_mu=frame_minus.mu)
-        frame = frame_minus if found == "-" else SpaceFrame.quadratic(sub, n, "+")
+        P, found = standard_basis(blown_up_form(inner.frame.form, sub),
+                                  target_mu=find_irreducible_mu(sub))
+        frame = SpaceFrame.quadratic(sub, n, found)
         kind, name = "OmegaExtField", f"Omega{sign}({2*a},{ext.q})<Omega{found}({n},{q})"
     else:
         raise UnsupportedParameters(f"no ext-field recipe for ambient {ambient!r}")
 
     P_inv = P.inv()
-    gens = rebase(big, P, P_inv)
+    gens = rebase([blowup_elem(g, sub) for g in inner.gens], P, P_inv)
     spec = GroupPresentationSpec(kind, n, q, frame, gens, inner.expected_order, name)
 
     def lift(g_ext: GroupElem) -> GroupElem:
@@ -586,22 +587,19 @@ def twisted_frobenius(frame: SpaceFrame, j: int = 1) -> GroupElem:
     coordinatewise Frobenius works; otherwise (minus type over GF(4), say,
     where Q(f_m) = mu is not fixed by x -> x^p) the coset representative is
     corrected by a Witt equivalence."""
-    F = frame.field
+    F, form = frame.field, frame.form
     plain = frobenius_elem(frame, j)
-    if is_isometry(plain, frame.form):
+    if is_isometry(plain, form):
         return plain
-    if frame.form.kind != "quadratic":
+    if form.kind != "quadratic":
         raise UnsupportedParameters("twisted Frobenius only implemented for quadratic frames")
-
-    def r_form(u):
-        pre = vec_frob(F, u, -j)
-        return F.frobenius(frame.form.quadratic(pre), j)
-
-    CB, sign = standard_basis(F, frame.n, r_form, target_mu=frame.mu)
-    if sign != frame.form.sign:
+    # Q(v^(sigma^-j))^(sigma^j): the form with every coefficient moved by sigma^j
+    moved = FormSpec("quadratic", form.gram.frob(j), [F.frobenius(x, j) for x in form.qdiag])
+    CB, sign = standard_basis(moved, target_mu=frame.mu)
+    if sign != form.sign:
         raise VerificationFailed("twisted form changed type (impossible)")
     g = GroupElem(CB.inv(), j)
-    if not is_isometry(g, frame.form):
+    if not is_isometry(g, form):
         raise VerificationFailed("twisted Frobenius gate failed")
     return g
 

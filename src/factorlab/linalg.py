@@ -1,7 +1,7 @@
 """Matrices and semilinear maps over a FieldSpec; bilinear/quadratic/hermitian
 forms; standard frames; isometry and Omega-membership tests; reflections; and
 one Witt decomposition, `standard_basis`, which finds a frame's standard basis
-for an alternating or quadratic form written in other coordinates.
+for one alternating or quadratic FormSpec written in other coordinates.
 
 All linear algebra goes through one Gauss-Jordan routine, `row_reduce`:
 inverse, determinant, independent subsets, and Omega membership, which reads
@@ -493,28 +493,26 @@ def in_omega(g, frame: SpaceFrame) -> bool:
 
 # -- Witt decomposition (standard bases for blown-up and twisted forms) -----
 
-def standard_basis(field: FieldSpec, n: int, qfun, bil=None, target_mu=None):
+def standard_basis(form: FormSpec, target_mu=None):
     """Split off hyperbolic pairs, then normalize the tail (the Witt
     decomposition; Taylor, The Geometry of the Classical Groups, 1992, ch. 7
-    and 11).  Returns (P, sign), the rows of P a standard basis of the frame
-    conventions of SpaceFrame.
+    and 11) of an alternating or quadratic form.  Returns (P, sign), the
+    rows of P a standard basis of the frame conventions of SpaceFrame.
 
-    qfun maps a length-n vector to its quadratic form value, and bil, by
-    default the polarization of qfun, is the bilinear form.  An alternating
-    form is qfun = lambda v: 0 with bil its bilinear form.  The sign is '+'
-    or '-' for even n and 'odd' for odd n; a minus-type tail is normalized
-    to Q(e_m) = 1, Q(f_m) = target_mu, and an odd tail d to Q(d) = 1.
+    The sign is '+' or '-' for even n and 'odd' for odd n; a minus-type tail
+    is normalized to Q(e_m) = 1, Q(f_m) = target_mu, and an odd tail d to
+    Q(d) = 1.
     """
-    if bil is None:
-        def bil(u, v):
-            return field.sub(field.sub(qfun(vec_add(field, u, v)), qfun(u)), qfun(v))
+    field, n, bil = form.owner, form.n, form.bilinear
+    quadratic = form.kind == "quadratic"
 
     def hyperbolic_partner(pool, v):
         w = next((u for u in pool if bil(v, u) != 0), None)
         if w is None:
             raise DecompositionFailure("degenerate form")
         w = vec_scale(field, field.inv(bil(v, w)), w)
-        return vec_add(field, w, vec_scale(field, field.neg(qfun(w)), v))
+        qw = form.quadratic(w) if quadratic else 0
+        return vec_add(field, w, vec_scale(field, field.neg(qw), v))
 
     def reduce_off(pool, v, w):
         # u - bil(u,w) v - bil(u,v) bil(w,v)^-1 w, with bil(v,w) = 1 and
@@ -531,18 +529,18 @@ def standard_basis(field: FieldSpec, n: int, qfun, bil=None, target_mu=None):
     pool = [unit_vector(n, i) for i in range(n)]
     new_basis = []
     while len(pool) > 1:
-        v = _find_singular(field, qfun, pool)
+        v = _find_singular(form, pool) if quadratic else pool[0]
         if v is None:
             if len(pool) > 2:
                 raise DecompositionFailure("no singular vector in dimension > 2")
-            new_basis.extend(_anisotropic_pair(field, qfun, bil, pool, target_mu))
+            new_basis.extend(_anisotropic_pair(form, pool, target_mu))
             return MatF(field, new_basis), "-"
         w = hyperbolic_partner(pool, v)
         new_basis.extend([v, w])
         pool = reduce_off(pool, v, w)
     if not pool:
         return MatF(field, new_basis), "+"
-    s = qfun(pool[0])
+    s = form.quadratic(pool[0]) if quadratic else 0
     c = _sqrt_or_none(field, field.inv(s)) if s else None
     if c is None:
         raise DecompositionFailure("odd-dimensional tail is degenerate or needs rescaling")
@@ -550,28 +548,29 @@ def standard_basis(field: FieldSpec, n: int, qfun, bil=None, target_mu=None):
     return MatF(field, new_basis), "odd"
 
 
-def _find_singular(field, qfun, pool):
+def _find_singular(form, pool):
     """A nonzero singular vector in the span of pool, or None when that span
     is an anisotropic line or plane.  The pool vectors come first, then the
     vectors a + c b of each pool plane; past those, a + y b + z c over the
     first three pool vectors finds one, since a quadratic form in three
     variables over a finite field has a nontrivial zero (Chevalley-Warning)
     and the zeros with no a-part lie in the anisotropic plane <b, c>."""
+    field, Q = form.owner, form.quadratic
     for u in pool:
-        if qfun(u) == 0:
+        if Q(u) == 0:
             return u
     for a, b in combinations(pool, 2):
         for c in field.elements():
             if c:
                 v = vec_add(field, a, vec_scale(field, c, b))
-                if qfun(v) == 0:
+                if Q(v) == 0:
                     return v
     if len(pool) < 3:
         return None
     a, b, c = pool[:3]
     for y, z in product(field.elements(), repeat=2):
         v = vec_add(field, a, vec_add(field, vec_scale(field, y, b), vec_scale(field, z, c)))
-        if qfun(v) == 0:
+        if Q(v) == 0:
             return v
     return None
 
@@ -580,15 +579,16 @@ def _sqrt_or_none(field, x):
     return next((c for c in field.elements() if field.mul(c, c) == x), None)
 
 
-def _anisotropic_pair(field, qfun, bil, pool, target_mu):
+def _anisotropic_pair(form, pool, target_mu):
     """(e, f) in the anisotropic plane spanned by pool with Q(e) = 1,
-    bil(e, f) = 1 and Q(f) = target_mu."""
+    beta(e, f) = 1 and Q(f) = target_mu."""
+    field, Q = form.owner, form.quadratic
     u0, u1 = pool
     plane = [vec_add(field, vec_scale(field, a, u0), vec_scale(field, b, u1))
              for a, b in product(field.elements(), repeat=2)]
     for em in plane:
-        if qfun(em) == 1:
+        if Q(em) == 1:
             for fm in plane:
-                if bil(em, fm) == 1 and qfun(fm) == target_mu:
+                if form.bilinear(em, fm) == 1 and Q(fm) == target_mu:
                     return em, fm
     raise DecompositionFailure("cannot normalize anisotropic plane")

@@ -8,22 +8,26 @@ table is filled from the n(q-1) images of the vectors d e_k alone, which
 are scaled rows of g's matrix: T[d q^k + r] = T[r] (+) code((d e_k)^g) for
 r < q^k, where (+) adds codes coordinate by coordinate: XOR when p = 2, else
 one lookup per half of the code in an addition table of half-length codes,
-built once per field.  A domain owns the tables of the elements that act on
-it and the permutations built from them, so each is computed at most once
-per domain and freed with it.  A domain moves a list of points at once:
-vectors by one itemgetter pick from T_g, pairs by one pick per column (for a
-refined antiflag (v, phi), phi's from the table of the contragredient), and
-only forms point by point.  Orbit domains, orbits and verify's coset orbits
-grow a frontier at a time by set operations (_frontier_orbit), and the first
-two are listed in domain order; only Schreier trees, which keep each point's
-parent, grow first in first out (_grow).  In verify every chain lives on the
-nonzero vectors, which are faithful and have a known base, whenever the
-geometric domain is larger.
+built once per field.  That table has q^(2 ceil(n/2)) entries, q times more
+than T_g for odd n, so it is built only while it has at most max(q^n, 2^16)
+entries; past that codes are added by F.add on each coordinate, and no
+table outgrows what --max-domain admits.  A domain owns the tables of the
+elements that act on it and the permutations built from them, so each is
+computed at most once per domain and freed with it.  A domain moves a list
+of points at once: vectors by one itemgetter pick from T_g, pairs by one
+pick per column (for a refined antiflag (v, phi), phi's from the table of
+the contragredient), and only forms point by point.  Orbit domains, orbits
+and verify's coset orbits grow a frontier at a time by set operations
+(_frontier_orbit), and the first two are listed in domain order; only
+Schreier trees, which keep each point's parent, grow first in first out
+(_grow).  In verify every chain lives on the nonzero vectors, which are
+faithful and have a known base, whenever the geometric domain is larger.
 
 A form is evaluated on all of F^n in one place, form_values, which fills its
 value table by the same additivity: the value at r + d e_k is the value at r
 plus the value at d e_k plus a cross term additive in r.  Level sets filter
-codes by that table.  A form orbit codes each quadratic form by its values on
+codes by that table, once their size, counted from the form's type, has
+passed the cap.  A form orbit codes each quadratic form by its values on
 e_i and e_i + e_j, which determine it; the full table of a form is kept only
 to compute images, and is built once per form the orbit search meets.
 
@@ -73,7 +77,7 @@ from .errors import (
     PointNotInDomain,
     VerificationFailed,
 )
-from .linalg import GroupElem
+from .linalg import GroupElem, is_square, vec_add
 
 DEFAULT_DOMAIN_CAP = DEFAULT_CAPS["max_domain"]
 DEFAULT_ENUM_CAP = DEFAULT_CAPS["max_enum"]
@@ -192,21 +196,26 @@ def vector_table(frame, g: GroupElem):
     and (d e_k)^g is d^(p^j) times row k of g's matrix, for g = (A, j).  For
     p = 2, (+) is XOR.  For odd p a code is split into its low h and high
     n - h coordinates, h = ceil(n/2), and each half is added by a lookup in
-    the half-code addition table of F.
+    the half-code addition table of F.  That table has q^(2h) entries, q
+    times the q^n of T for odd n, so it is built only while it has at most
+    max(q^n, 2^16); past that codes are added one coordinate at a time.
     """
     F = frame.field
     q, n = F.q, frame.n
     T = array("l", [0])
     size = 1                                    # q^k
-    if F.p != 2:
-        h = (n + 1) // 2
-        Q, ADD = q ** h, _half_add(F, h)
+    h = (n + 1) // 2
+    Q = q ** h
+    ADD = _half_add(F, h) if F.p != 2 and Q * Q <= max(q ** n, 1 << 16) else None
     for row in g.mat.rows:
         for d in range(1, q):
             c = F.frobenius(d, g.frob)
-            img = _encode(frame, [F.mul(c, x) for x in row])
+            vec = [F.mul(c, x) for x in row]
+            img = _encode(frame, vec)
             if F.p == 2:
                 T.extend([x ^ img for x in T[:size]])
+            elif ADD is None:
+                T.extend([_encode(frame, vec_add(F, _decode(frame, x), vec)) for x in T[:size]])
             else:
                 ihi, ilo = divmod(img, Q)
                 lo, hi = ADD[ilo::Q], ADD[ihi::Q]
@@ -357,8 +366,44 @@ def nonzero_vectors(frame, cap=DEFAULT_DOMAIN_CAP, tables=None) -> Domain:
     return Domain("NonzeroVectors", frame, pts, _vector_images, cap, tables, base)
 
 
+def level_set_size(frame, value):
+    """The number of v != 0 with Q(v) = value (quadratic) or beta(v, v) =
+    value, from the type of the frame's form alone (Taylor, The Geometry of
+    the Classical Groups, 1992, ch. 10 and 11).  A hermitian form over
+    GF(r^2) takes each nonzero value of GF(r) equally often, since scaling v
+    by c scales beta(v, v) by c^(r+1), which runs over GF(r)^*; a quadratic
+    form of type e = +-1 on F^2m takes each nonzero value q^(2m-1) - e q^(m-1)
+    times, and the odd frame's H(x, y) + z^2 on F^(2m+1) takes c != 0
+    q^2m + chi(c) q^m times, chi(c) = 1 for a square and -1 otherwise."""
+    F, n, form = frame.field, frame.n, frame.form
+    q = F.q
+    if value not in range(q):
+        return 0
+    if form.kind == "alternating":
+        return q ** n - 1 if value == 0 else 0
+    if form.kind == "hermitian":
+        half = F.f // 2
+        r = F.p ** half
+        isotropic = (r ** n - (-1) ** n) * (r ** (n - 1) + (-1) ** n)
+        if value == 0:
+            return isotropic
+        return (q ** n - 1 - isotropic) // (r - 1) if F.frobenius(value, half) == value else 0
+    if form.sign == "odd":
+        m = (n - 1) // 2
+        if value == 0:
+            return q ** (2 * m) - 1
+        return q ** (2 * m) + (1 if is_square(F, value) else -1) * q ** m
+    m, e = n // 2, 1 if form.sign == "+" else -1
+    if value == 0:
+        return (q ** m - e) * (q ** (m - 1) + e)
+    return q ** (2 * m - 1) - e * q ** (m - 1)
+
+
 def norm_level_set(frame, value, cap=DEFAULT_DOMAIN_CAP) -> Domain:
-    """Vectors v != 0 with Q(v) = value (quadratic) or beta(v,v) = value."""
+    """Vectors v != 0 with Q(v) = value (quadratic) or beta(v,v) = value.  A
+    size over the cap, counted by level_set_size, is refused before the
+    form is evaluated on F^n."""
+    _check_size(level_set_size(frame, value), cap)
     pts = [c for c, x in enumerate(form_values(frame)) if x == value and c]
     kind = f"NormLevelSet({value})"
     return Domain(kind, frame, pts, _vector_images, cap)

@@ -45,8 +45,11 @@ def _code_act(frame, g, code):
 
 
 # odd p splits a code into halves of ceil(n/2) coordinates: GF(3)^6 (the
-# frame of the Sp_6(3) triple), GF(9)^4 and, with an odd n, GF(3)^5
-TABLE_FRAMES = FRAMES + [("Sp", 6, 3), ("SU", 4, 3), ("OmegaOdd", 5, 3)]
+# frame of the Sp_6(3) triple), GF(9)^4 and, with an odd n, GF(3)^5; the
+# half-code table of GF(13)^3 has 13^4 <= 2^16 entries, and GF(17)^3, whose
+# table would have 17^4 > max(17^3, 2^16), adds codes coordinate by coordinate
+TABLE_FRAMES = FRAMES + [("Sp", 6, 3), ("SU", 4, 3), ("OmegaOdd", 5, 3), ("SL", 3, 13),
+                         ("SL", 3, 17)]
 
 
 @pytest.mark.parametrize("fam,n,q", TABLE_FRAMES)
@@ -57,6 +60,13 @@ def test_vector_table_matches_per_point_action(fam, n, q):
         T = vector_table(frame, g)
         assert len(T) == size
         assert list(T) == [_code_act(frame, g, c) for c in range(size)]
+
+
+def test_half_code_table_is_built_only_within_its_bound():
+    for q, built in ((13, True), (17, False)):
+        frame, gens = _elements("SL", 3, q)
+        vector_table(frame, gens[0])
+        assert (2 in frame.field._half_add) == built
 
 
 @pytest.mark.parametrize("fam,n,q", FRAMES)

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -343,6 +344,29 @@ def test_max_domain_is_refused_before_the_field_is_built(tmp_path):
     )
     assert done.returncode == 2 and not done.stdout
     assert done.stderr == f"error: domain size {p - 1} exceeds cap 1000\n"
+
+
+def test_a_large_field_triple_answers_within_a_memory_limit(tmp_path):
+    # -1 on GF(65537)^1: the vector tables once built a q x q addition table
+    # of 4.3e9 entries for a space of 65537 points, which ended in a
+    # MemoryError after 13 s under this limit; the child alone gets the
+    # limit, and the timeout keeps a regression from hanging the suite
+    F = FieldSpec.get(65537)
+    path = tmp_path / "G.json"
+    _genfile(path, F, 1, [GroupElem(MatF(F, [[F.neg(1)]]))])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "factorlab.cli", "check-triple", *[str(path)] * 3],
+        capture_output=True, text=True, env=env, timeout=10, preexec_fn=limit_memory,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == ["orderG = 2", "orderH = 2", "orderK = 2", "orderInt = 2",
+                                        "factorization = True"]
 
 
 def test_a_space_too_large_to_print_is_refused_in_one_line(capsys, tmp_path):

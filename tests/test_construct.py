@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from factorlab import construct
 from factorlab.errors import SignParityMismatch
 from factorlab.gf import FieldSpec
-from factorlab.linalg import GroupElem, MatF, in_omega, is_isometry
+from factorlab.linalg import GroupElem, MatF, in_omega, is_isometry, unit_vector, vec_frob
 from factorlab.construct import (
     blowup_elem,
     ext_field_subgroup,
@@ -162,6 +163,68 @@ def test_unblow_roundtrip():
         coords, _ = _coords_for(F4, F2)
         vb.extend(coords[x])
     assert unblow_vector(F4, F2, big.act(tuple(vb))) == g.act(v)
+
+
+def _trace_form(fam, n, q, sub_q):
+    """The per-vector closure a blown-up form replaced: for a quadratic or
+    hermitian inner form, v |-> Tr Q(v) or beta(v, v) read in GF(sub_q);
+    for an alternating one, (u, w) |-> Tr beta(u, w)."""
+    form = construct.classical_frame(fam, n, q).form
+    ext, sub = form.owner, FieldSpec.get(sub_q)
+
+    def up(v):
+        return unblow_vector(ext, sub, v)
+
+    if form.kind == "alternating":
+        return lambda u, w: ext.trace_to(form.bilinear(up(u), up(w)), sub)
+    if form.kind == "hermitian":
+        return lambda v: ext.restrict(form.bilinear(up(v), up(v)), sub)
+    return lambda v: ext.trace_to(form.quadratic(up(v)), sub)
+
+
+def _twisted_form(fam, n, q, j):
+    """v |-> Q(v^(sigma^-j))^(sigma^j), twisted_frobenius's former closure."""
+    frame = construct.classical_frame(fam, n, q)
+    F = frame.field
+    return lambda v: F.frobenius(frame.form.quadratic(vec_frob(F, v, -j)), j)
+
+
+@pytest.mark.parametrize("build,closure", [
+    (lambda: su_in_omega(2, 3, "+"), lambda: _trace_form("SU", 2, 3, 3)),
+    (lambda: su_in_omega(3, 2, "-"), lambda: _trace_form("SU", 3, 2, 2)),
+    (lambda: ext_field_subgroup("Sp", 1, 2, 3), lambda: _trace_form("Sp", 2, 9, 3)),
+    (lambda: ext_field_subgroup("Omega", 2, 2, 2, "-"),
+     lambda: _trace_form("Omega-", 4, 4, 2)),
+    (lambda: construct.twisted_frobenius(construct.classical_frame("Omega-", 4, 4)),
+     lambda: _twisted_form("Omega-", 4, 4, 1)),
+], ids=["su_in_omega-2-3", "su_in_omega-3-2", "ext_field-Sp", "ext_field-Omega",
+        "twisted_frobenius"])
+def test_transferred_forms_match_the_closures_they_replace(build, closure, monkeypatch):
+    # the FormSpec each recipe hands to the Witt decomposition agrees with
+    # the per-vector form it used to pass, on every vector of its space
+    seen = []
+    witt = construct.standard_basis
+
+    def spy(form, target_mu=None):
+        seen.append(form)
+        return witt(form, target_mu)
+
+    monkeypatch.setattr(construct, "standard_basis", spy)
+    build()
+    (form,) = seen
+    F, n = form.owner, form.n
+    vectors = list(itertools.product(F.elements(), repeat=n))
+    basis = [unit_vector(n, k) for k in range(n)]
+    fn = closure()
+    if form.kind == "alternating":
+        assert all(form.bilinear(u, w) == fn(u, w) for u in vectors for w in vectors)
+        return
+    assert form.kind == "quadratic"
+    assert all(form.quadratic(v) == fn(v) for v in vectors)
+    for v in vectors:   # the Gram matrix is the polar form of Q
+        for e in basis:
+            ve = tuple(F.add(a, b) for a, b in zip(v, e))
+            assert form.bilinear(v, e) == F.sub(F.sub(fn(ve), fn(v)), fn(e))
 
 
 def test_sp_in_su_golden_small():

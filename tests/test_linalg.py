@@ -232,8 +232,7 @@ def test_symplectic_change_of_basis(q, m):
     rng = random.Random(q * m)
     p = random_invertible(F, 2 * m, rng)
     scrambled = p.mul(fr.form.gram.mul(p.transpose()))
-    bil = FormSpec("alternating", scrambled).bilinear
-    cb, sign = standard_basis(F, 2 * m, lambda v: 0, bil)
+    cb, sign = standard_basis(FormSpec("alternating", scrambled))
     assert sign == "+"
     new_gram = cb.mul(scrambled.mul(cb.transpose()))
     assert new_gram == fr.form.gram
@@ -244,7 +243,7 @@ def test_degenerate_alternating_form_has_no_standard_basis():
     gram = SpaceFrame.symplectic(F, 2).form.gram
     degenerate = MatF(F, [*gram.rows[:2], (0,) * 4, (0,) * 4])  # radical <e2, f2>
     with pytest.raises(DecompositionFailure):
-        standard_basis(F, 4, lambda v: 0, FormSpec("alternating", degenerate).bilinear)
+        standard_basis(FormSpec("alternating", degenerate))
 
 
 def assert_standard_basis(F, qfun, cb, fr):
@@ -270,7 +269,10 @@ def test_quadratic_change_of_basis(q, n, sign):
     def qfun(v):
         return fr.form.quadratic(vec_mat(F, v, p))
 
-    cb, found_sign = standard_basis(F, n, qfun, target_mu=fr.mu)
+    # Q(v p): the polar form p beta p^T and the values Q(row_i p) on the basis
+    form = FormSpec("quadratic", p.mul(fr.form.gram.mul(p.transpose())),
+                    [fr.form.quadratic(row) for row in p.rows])
+    cb, found_sign = standard_basis(form, target_mu=fr.mu)
     assert found_sign == sign
     assert_standard_basis(F, qfun, cb, fr)
 
@@ -284,7 +286,9 @@ def test_standard_basis_of_a_form_whose_singular_vectors_have_full_support():
     def qfun(v):
         return F.mul(2, sum(x * x for x in v) % 3)
 
-    cb, sign = standard_basis(F, 3, qfun)
+    # polar form 4(xx' + yy' + zz') = xx' + yy' + zz'
+    form = FormSpec("quadratic", MatF.identity(F, 3), [2, 2, 2])
+    cb, sign = standard_basis(form)
     assert sign == "odd"
     assert cb.rows[0] == (1, 1, 1)
     assert_standard_basis(F, qfun, cb, SpaceFrame.quadratic(F, 3, "odd"))

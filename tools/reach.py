@@ -4,7 +4,8 @@
 Run from the repo root:  python3 tools/reach.py
 
 Under sys.setprofile it runs every command of the command line, the
-bad-input exits included, tools/build_tables_db.build(), every GOLDEN writer
+bad-input exits included, a check-triple over a field too large for a
+half-code addition table, tools/build_tables_db.build(), every GOLDEN writer
 of tests/test_golden_reports.py and perfbench's check-triple prepare step,
 all in-process and with every file written into a temporary directory.  It
 then prints each function (methods and nested functions included) that no
@@ -90,6 +91,9 @@ def run_everything(tmp):
     big = tmp / "gf4096.json"                  # the identity on 2^36 - 1 nonzero vectors
     big.write_text(json.dumps({"field": gf4096, "n": 3, "gens": [
         {"matrix": [[one if i == j else zero for j in range(3)] for i in range(3)]}]}))
+    large = tmp / "gf65537.json"              # -1 on GF(65537)^1: codes added one by one
+    large.write_text(json.dumps({"field": {"p": 65537, "f": 1, "modulus": [65536, 1]},
+                                 "n": 1, "gens": [{"matrix": [[[65536]]]}]}))
     p61 = 2 ** 61 - 1
     big_prime = tmp / "gf_p61.json"           # p tested by trial division before the cap
     big_prime.write_text(json.dumps({"field": {"p": p61, "f": 1, "modulus": [p61 - 1, 1]},
@@ -127,6 +131,7 @@ def run_everything(tmp):
         ["check-triple", str(bad_field), *triple[1:]],
         ["check-triple", str(bad_modulus), *triple[1:]],
         ["check-triple", str(big), str(big), str(big), "--max-domain", "1000"],
+        ["check-triple", str(large), str(large), str(large)],
         ["check-triple", str(big_prime), str(big_prime), str(big_prime), "--max-domain", "1000"],
         ["check-triple", str(bad_dim), *triple[1:]],
         ["check-triple", str(tmp / "missing.json"), *triple[1:]],

@@ -298,7 +298,7 @@ def cmd_check_triple(args):
     fK, nK, gK = _load_genfile(args.genfileK, caps["max_domain"])
     if not (fG == fH == fK) or not (nG == nH == nK):
         raise FieldMismatch("the three generator files must share a field and dimension")
-    frame = SpaceFrame(fG, nG, None, tuple(f"v{i+1}" for i in range(nG)))
+    frame = SpaceFrame(fG, nG, None)
     dom = nonzero_vectors(frame, caps["max_domain"])
     chainG = bsgs(gG, dom)
     for g in gH + gK:

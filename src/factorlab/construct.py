@@ -270,13 +270,13 @@ def _omega_gens(frame):
     return gens
 
 
-_FRAME_SIGN = {"Omega+": "+", "Omega-": "-", "OmegaOdd": "odd"}
+# O+ and O- preserve the quadratic form of the Omega frame of their type
+_FRAME_SIGN = {"Omega+": "+", "Omega-": "-", "OmegaOdd": "odd", "O+": "+", "O-": "-"}
 
 
 def classical_frame(family: str, n: int, q: int) -> SpaceFrame:
     if family in ("SL", "GL"):
-        F = FieldSpec.get(q)
-        return SpaceFrame(F, n, None, tuple(f"v{i+1}" for i in range(n)))
+        return SpaceFrame(FieldSpec.get(q), n, None)
     if family == "Sp":
         if n % 2:
             raise IllegalParameters("Sp needs even dimension")
@@ -302,7 +302,7 @@ def gens_classical(family: str, n: int, q: int) -> GroupPresentationSpec:
         gens = _sp_gens(frame)
     elif family == "SU":
         gens = _su_gens(frame)
-    elif family in _FRAME_SIGN:
+    elif family.startswith("Omega"):
         gens = _omega_gens(frame)
     else:
         raise UnsupportedParameters(f"no generators for family {family!r}")

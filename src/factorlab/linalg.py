@@ -325,13 +325,12 @@ class SpaceFrame:
                                           Q(em) = 1, Q(fm) = mu.
     """
 
-    __slots__ = ("field", "n", "form", "labels", "mu")
+    __slots__ = ("field", "n", "form", "mu")
 
-    def __init__(self, field, n, form, labels, mu=None):
+    def __init__(self, field, n, form, mu=None):
         self.field = field
         self.n = n
         self.form = form
-        self.labels = tuple(labels)
         self.mu = mu
 
     def basis(self, i):
@@ -344,8 +343,7 @@ class SpaceFrame:
         for i in range(m):
             rows[2 * i][2 * i + 1] = 1
             rows[2 * i + 1][2 * i] = field.neg(1)
-        labels = [x for i in range(1, m + 1) for x in (f"e{i}", f"f{i}")]
-        return cls(field, n, FormSpec("alternating", MatF(field, rows)), labels)
+        return cls(field, n, FormSpec("alternating", MatF(field, rows)))
 
     @classmethod
     def hermitian(cls, field: FieldSpec, n: int) -> "SpaceFrame":
@@ -357,11 +355,9 @@ class SpaceFrame:
         for i in range(m):
             rows[2 * i][2 * i + 1] = 1
             rows[2 * i + 1][2 * i] = 1
-        labels = [x for i in range(1, m + 1) for x in (f"e{i}", f"f{i}")]
         if n % 2:
             rows[n - 1][n - 1] = 1
-            labels.append("d")
-        return cls(field, n, FormSpec("hermitian", MatF(field, rows)), labels)
+        return cls(field, n, FormSpec("hermitian", MatF(field, rows)))
 
     @classmethod
     def quadratic(cls, field: FieldSpec, n: int, sign: str) -> "SpaceFrame":
@@ -374,14 +370,12 @@ class SpaceFrame:
             m = n // 2
         rows = [[0] * n for _ in range(n)]
         qdiag = [0] * n
-        labels = [x for i in range(1, m + 1) for x in (f"e{i}", f"f{i}")]
         for i in range(m):
             rows[2 * i][2 * i + 1] = 1
             rows[2 * i + 1][2 * i] = 1
         if sign == "odd":
             qdiag[n - 1] = 1
             rows[n - 1][n - 1] = field.add(1, 1)
-            labels.append("d")
         elif sign == "-":
             mu = find_irreducible_mu(field)
             qdiag[n - 2] = 1
@@ -391,7 +385,7 @@ class SpaceFrame:
         elif sign != "+":
             raise ValueError(f"unknown sign {sign!r}")
         form = FormSpec("quadratic", MatF(field, rows), qdiag, sign)
-        return cls(field, n, form, labels, mu)
+        return cls(field, n, form, mu)
 
 
 def is_isometry(g: GroupElem, form: FormSpec) -> bool:

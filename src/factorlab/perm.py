@@ -813,7 +813,7 @@ def enumerate_and_sift(H: StabChain, K: StabChain, cap=DEFAULT_ENUM_CAP) -> list
     return out
 
 
-def normal_closure(seeds, conjugators, n_points, cap=DEFAULT_ENUM_CAP, known_base=None):
+def normal_closure(seeds, conjugators, n_points, cap=DEFAULT_CAPS["max_group"], known_base=None):
     """Chain for the normal closure of seeds under the given conjugators,
     grown in place: each conjugate not yet in the chain is absorbed, and the
     chain closed again."""
@@ -826,13 +826,13 @@ def normal_closure(seeds, conjugators, n_points, cap=DEFAULT_ENUM_CAP, known_bas
             continue
         chain._schreier_closure()
         if chain.order() > cap:
-            raise CapExceeded("normal closure exceeded the enumeration cap")
+            raise CapExceeded(f"normal closure order {chain.order()} exceeds group cap {cap}")
         for c, ci in conj_pairs:
             queue.append(compose(ci, compose(g, c)))
     return chain
 
 
-def derived_chain(gens_perms, n_points, cap=DEFAULT_ENUM_CAP, known_base=None):
+def derived_chain(gens_perms, n_points, cap=DEFAULT_CAPS["max_group"], known_base=None):
     """Chain for the derived subgroup of the group generated by gens_perms."""
     comms = []
     for i, a in enumerate(gens_perms):
@@ -842,7 +842,7 @@ def derived_chain(gens_perms, n_points, cap=DEFAULT_ENUM_CAP, known_base=None):
     return normal_closure(comms, gens_perms, n_points, cap=cap, known_base=known_base)
 
 
-def solvable_residual(gens, dom: Domain, cap=DEFAULT_ENUM_CAP) -> StabChain:
+def solvable_residual(gens, dom: Domain, cap=DEFAULT_CAPS["max_group"]) -> StabChain:
     """Chain for the last term of the derived series of <gens>; gens are
     GroupElems acting on dom or permutations of its points.  The series
     stops at a term that is trivial or contains every generator of the term

@@ -107,6 +107,7 @@ def load_db(path=None):
 _JSON_TYPES = {int: "an integer", str: "a string", bool: "a boolean", list: "an array",
                dict: "an object"}
 _PARAM_TYPES = {"min": int, "fixed": int, "pp": bool, "even": bool, "odd": bool, "expr": str}
+_TIER_B_KEYS = {"route", "bindings", "H", "K", "domain", "residual_int"}
 
 
 def _parse_record(raw, parsed):
@@ -114,8 +115,8 @@ def _parse_record(raw, parsed):
     constraints and parameter expressions parsed through the memo `parsed`.
     A field of the wrong JSON type, a field that does not parse, a shape,
     constraint or expression over an undeclared symbol, a param with no
-    values and an unknown derived kind each raise a FactorLabError that
-    starts with the record id and field."""
+    values, an unknown derived kind and an unknown tier_b key each raise a
+    FactorLabError that starts with the record id and field."""
     rid = raw.get("id") if type(raw) is dict else None
     if type(rid) is not str:
         raise FactorLabError(f"record {rid!r}: needs a string id")
@@ -151,14 +152,15 @@ def _parse_record(raw, parsed):
             raise FactorLabError(f"{rid} derived.{name}: unknown derived kind {kind!r}")
     tier_b = check("tier_b", raw.get("tier_b"), dict, optional=True)
     if tier_b is not None:
+        unknown = set(tier_b) - _TIER_B_KEYS
+        if unknown:
+            raise FactorLabError(f"{rid} tier_b: unknown key {min(unknown)!r}")
         check("tier_b.route", tier_b.get("route"), str)
         for i, b in enumerate(check("tier_b.bindings", tier_b.get("bindings"), list)):
             check(f"tier_b.bindings[{i}]", b, dict)
-        # a recipe is [kind, *args]; ambient may be left out, and so may K
-        # off the sift route, the one that reads it
-        required = ("H", "domain", "K") if tier_b["route"] == "sift" else ("H", "domain")
-        for key in ("H", "domain", "K", "ambient"):
-            if key in required or key in tier_b:
+        # a recipe is [kind, *args]; K may be left out off the sift route, the one that reads it
+        for key in ("H", "domain", "K"):
+            if key in tier_b or key != "K" or tier_b["route"] == "sift":
                 recipe = check(f"tier_b.{key}", tier_b.get(key), list)
                 check(f"tier_b.{key}[0]", recipe[0] if recipe else None, str)
         if "residual_int" in tier_b:

@@ -7,9 +7,10 @@ equivalent criteria: the order identity (d) and H transitive on the cosets
 of K (f).  One shared prefix builds H's chain and checks |H|; a route in
 ROUTES then produces the remaining facts, the intersection order either by
 an orbit/stabilizer computation on a geometric domain ("stab") or by
-enumerate-and-sift with the criterion (f) cross-check ("sift").  Every chain
-goes on the smaller of the geometric domain and the nonzero vectors.  The
-first fact that disagrees with the tables ends the case as a FAIL.
+enumerate-and-sift with the criterion (f) cross-check ("sift").  The stab
+route reads G from its shape, a classical family on H's frame; an orbit
+domain is an orbit of G.  Every chain goes on the smaller of the geometric
+domain and the nonzero vectors.  The first disagreeing fact is the FAIL.
 
 The caps default to errors.DEFAULT_CAPS.  Reports are plain classes and a
 crash's innermost frame is read off its traceback object, so a sweep
@@ -33,7 +34,7 @@ from .errors import (
 )
 from . import construct, perm
 from .perm import _frontier_orbit, bsgs, compose, enumerate_and_sift, orbit, solvable_residual
-from .shapes import order_of
+from .shapes import arith_eval, order_of
 from .tables import ConcreteCase, _derived_expansions, admissible_bindings
 
 
@@ -93,8 +94,8 @@ def verify_tier_a(case: ConcreteCase) -> VerificationReport:
 #   ("residual", f)   the solvable residual of that group, or, with f None,
 #                     of the group recipe args[0];
 #   ("frame", f)      perm.f(frame, *args, cap) on the frame of H;
-#   ("orbit", f, s)   perm.f(frame, construct.s(frame, *args), gens, cap): the
-#                     orbit of a seed under the generators of the ambient group.
+#   ("orbit", f, s)   perm.f(frame, construct.s(frame, *args), gens, cap): an
+#                     orbit of G, the orbit of a seed under G's generators.
 RECIPES = {
     "classical": ("group", "gens_classical"),
     "sp_in_su": ("group", "sp_in_su"),
@@ -134,33 +135,36 @@ def _build_group(desc, bindings):
 
 def _build_chain(spec, residual, dom, caps):
     if residual:
-        return solvable_residual(spec.gens, dom, cap=caps["max_enum"])
+        return solvable_residual(spec.gens, dom, cap=caps["max_group"])
     return bsgs(spec.gens, dom, target_order=spec.expected_order)
 
 
-def _build_ambient(desc, frame, bindings):
-    """The ambient group; it must act on H's space, and preserve H's form
-    (kind, Gram matrix, Q on the basis) when it has a form."""
-    amb, _ = _build_group(desc, bindings)
-    if (amb.frame.field, amb.frame.n) != (frame.field, frame.n):
-        raise FieldMismatch(f"the ambient acts on {amb.frame.field}^{amb.frame.n}, "
-                            f"H on {frame.field}^{frame.n}")
-    form, h_form = (f and (f.kind, f.gram, f.qdiag) for f in (amb.frame.form, frame.form))
+def _classical_g(case, frame):
+    """(family, n, q) of G, read from its shape; G's standard frame must have
+    H's field, dimension and, when it has one, form (kind, Gram, Q on the basis)."""
+    node = case.record.shape("G")
+    if node[0] != "family" or node[2] or len(node) != 5:
+        raise FactorLabError("G is not a classical family")
+    family, n, q = node[1], *(arith_eval(a, case.bindings) for a in node[3:])
+    g = construct.classical_frame(family, n, q)
+    if (g.field, g.n) != (frame.field, frame.n):
+        raise FieldMismatch(f"G acts on {g.field}^{g.n}, H on {frame.field}^{frame.n}")
+    form, h_form = (f and (f.kind, f.gram, f.qdiag) for f in (g.form, frame.form))
     if form not in (None, h_form):
-        raise FormMismatch(f"the ambient's {form[0]} form differs from H's form")
-    return amb
+        raise FormMismatch(f"G's {form[0]} form differs from H's form")
+    return family, n, q
 
 
-def _build_domain(desc, frame, bindings, ambient, cap):
-    """The domain a recipe names; an ambient is checked for either role."""
+def _build_domain(desc, frame, bindings, g, cap):
+    """The domain a recipe names, on H's frame; an orbit domain is an orbit of G."""
     (role, builder, *seeder), args = _recipe(desc, bindings)
     build = getattr(perm, builder)
-    amb = None if ambient is None else _build_ambient(ambient, frame, bindings)
     if role == "frame":
         return build(frame, *args, cap)
-    if amb is None:
-        raise FactorLabError(f"domain {desc[0]} needs an ambient")
-    return build(amb.frame, getattr(construct, seeder[0])(amb.frame, *args), amb.gens, cap)
+    if g is None:
+        raise FactorLabError(f"domain {desc[0]} is an orbit of G, off the stab route")
+    gens = construct.gens_classical(*g).gens
+    return build(frame, getattr(construct, seeder[0])(frame, *args), gens, cap)
 
 
 class _Mismatch(Exception):
@@ -174,10 +178,10 @@ def _require(ok, detail):
 
 
 def verify_tier_b(case: ConcreteCase, caps=None) -> VerificationReport:
-    """Certify G = H K at the case's bindings.  A shared prefix builds H and
-    its chain and checks |H|; the route's producer in ROUTES adds its facts;
-    the order identity closes.  The facts, in the order found, are the
-    report's computed orders, and the first that disagrees is the FAIL."""
+    """Certify G = H K at the case's bindings.  A shared prefix builds H, G's
+    frame (stab route), the domain and H's chain, and checks |H|; ROUTES adds
+    the route's facts; the order identity closes.  The facts, in the order
+    found, are the report's computed orders; the first that disagrees FAILs."""
     caps = {**DEFAULT_CAPS, **(caps or {})}
     t0 = time.perf_counter()
     tb = case.record.tier_b
@@ -193,8 +197,8 @@ def verify_tier_b(case: ConcreteCase, caps=None) -> VerificationReport:
         if exp["orderH"] > caps["max_group"]:
             return VerificationReport(case.id, "B", "SKIPPED(scale)")
         spec_h, residual = _build_group(tb["H"], bnd)
-        dom = _build_domain(tb["domain"], spec_h.frame, bnd, tb.get("ambient"),
-                            caps["max_domain"])
+        g = _classical_g(case, spec_h.frame) if tb["route"] == "stab" else None
+        dom = _build_domain(tb["domain"], spec_h.frame, bnd, g, caps["max_domain"])
         # every chain goes on the smaller of dom and the nonzero vectors (both
         # faithful), since a chain's cost grows with its domain
         chain_dom = dom
@@ -252,7 +256,7 @@ def _sift_facts(facts, exp, *, tb, bnd, h_chain, chain_dom, caps, **_):
     inter = enumerate_and_sift(h_chain, k_chain, caps["max_enum"])
     facts["orderInt"] = len(inter)
     if "residual_int" in tb:
-        res = solvable_residual(inter, chain_dom, cap=caps["max_enum"])
+        res = solvable_residual(inter, chain_dom, cap=caps["max_group"])
         facts["residualOrderInt"] = res.order()
         _require(res.order() == tb["residual_int"],
                  "solvable residual of the intersection mismatch")

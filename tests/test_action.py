@@ -165,7 +165,7 @@ def test_orbit_on_permutations_lists_points_in_domain_order():
 
 
 def _minus_pairs():
-    """T6.19's ambient Omega+(8, 2) and the seed of its ordered minus pairs."""
+    """T6.19's G, Omega+(8, 2), and the seed of its ordered minus pairs."""
     omega = gens_classical("Omega+", 8, 2)
     return omega, minus_pair(omega.frame)
 

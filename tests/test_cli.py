@@ -194,6 +194,16 @@ def test_bad_cap_is_a_one_line_usage_error(capsys):
         assert err.count("\n") == 1 and "Traceback" not in err, err
 
 
+def test_the_enumeration_cap_caps_only_enumerate_and_sift(capsys):
+    # T1.1b's H is a residual, whose closures --max-group caps; only T8.1a
+    # enumerates, its H of order 504
+    code, out, _ = run(capsys, "sweep", "--tier", "b", "--max-enum", "10", "--format", "json")
+    assert code == 0
+    status = {r["case"].split("[")[0]: r["status"] for r in json.loads(out)["reports"]}
+    assert status.pop("T8.1a") == "SKIPPED(scale: group order 504 exceeds cap 10)"
+    assert set(status.values()) == {"PASS"} and "T1.1b" in status
+
+
 DELETE = object()  # a database value that deletes its key
 
 
@@ -214,7 +224,7 @@ DELETE = object()  # a database value that deletes its key
     ("T1.1b", ("tier_b", "bindings", 0), 4),
     ("T1.1b", ("tier_b", "H"), []),
     ("T1.1b", ("tier_b", "domain"), "NonzeroVectors"),
-    ("T6.19", ("tier_b", "ambient"), {"kind": "classical"}),
+    ("T6.19", ("tier_b", "ambient"), {"kind": "classical"}),  # not a tier_b key
     ("T8.1a", ("tier_b", "K"), [3, 2]),
     ("T8.1a", ("tier_b", "residual_int"), True),
     ("T1.1a", ("shapes", "H"), "z^2:SL(2,q)"),  # an undeclared symbol, as in where

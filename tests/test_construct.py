@@ -4,7 +4,7 @@ import random
 import pytest
 
 from factorlab import construct
-from factorlab.errors import SignParityMismatch
+from factorlab.errors import SignParityMismatch, UnsupportedParameters
 from factorlab.gf import FieldSpec
 from factorlab.linalg import GroupElem, MatF, in_omega, is_isometry, unit_vector, vec_frob
 from factorlab.construct import (
@@ -137,7 +137,7 @@ def test_blowup_is_functorial_and_order_preserving():
     # SL_2(4) blown into SL_4(2): transitive on the 15 nonzero vectors
     from factorlab.linalg import SpaceFrame
 
-    frame = SpaceFrame(F2, 4, None, ("a", "b", "c", "d"))
+    frame = SpaceFrame(F2, 4, None)
     dom = nonzero_vectors(frame)
     big = [blowup_elem(g, F2) for g in sl.gens]
     assert len(orbit(big, dom.points[0], dom)) == 15
@@ -333,6 +333,11 @@ def test_gamma_o_minus_ext_lies_in_o_minus_not_omega():
     assert spec.name == "GammaO-(4,4)<O-(8,2)"
     assert all(is_isometry(g, spec.frame.form) for g in spec.gens)
     assert not in_omega(spec.gens[-1], spec.frame)
+    # T5.7's G, O-(8,2), names the Omega- frame, but has no generators yet
+    o_minus = construct.classical_frame("O-", 8, 2).form
+    assert (o_minus.gram, o_minus.qdiag) == (spec.frame.form.gram, spec.frame.form.qdiag)
+    with pytest.raises(UnsupportedParameters):
+        construct.gens_classical("O-", 8, 2)
 
 
 def test_gamma_and_frobenius_elements():

@@ -17,7 +17,7 @@ def _quadratic(q, n, sign):
 def _symmetric(q, n):
     # the polar form of an odd-dimensional quadratic frame, as a bilinear form
     frame = _quadratic(q, n, "odd")
-    return SpaceFrame(frame.field, n, FormSpec("symmetric", frame.form.gram), frame.labels)
+    return SpaceFrame(frame.field, n, FormSpec("symmetric", frame.form.gram))
 
 
 FORM_FRAMES = {

@@ -97,7 +97,7 @@ def test_orbit_sl2_2_on_nonzero_vectors():
 def test_bsgs_orders_with_and_without_target():
     F, gens = sl3_2_gens()
     fr = SpaceFrame.symplectic(F, 1)
-    fr = SpaceFrame(F, 3, fr.form, ("a", "b", "c"))  # only dimensions matter here
+    fr = SpaceFrame(F, 3, fr.form)  # only dimensions matter here
     dom = nonzero_vectors(fr)
     assert dom.size == 7
     chain = bsgs(gens, dom, target_order=168)
@@ -131,7 +131,7 @@ def test_identity_only_chain():
 
 def test_nonzero_vectors_over_the_cap_are_refused_before_they_are_listed():
     # listing the 2^20 codes of GF(2)^20 first took a traced peak of 40 MiB
-    frame = SpaceFrame(FieldSpec.get(2), 20, None, tuple(f"v{i}" for i in range(20)))
+    frame = SpaceFrame(FieldSpec.get(2), 20, None)
     tracemalloc.start()
     try:
         with pytest.raises(DomainOverflow, match=f"domain size {2 ** 20 - 1} exceeds cap 10"):
@@ -140,7 +140,7 @@ def test_nonzero_vectors_over_the_cap_are_refused_before_they_are_listed():
     finally:
         tracemalloc.stop()
     assert peak <= 2 ** 16
-    small = SpaceFrame(FieldSpec.get(2), 4, None, ("a", "b", "c", "d"))
+    small = SpaceFrame(FieldSpec.get(2), 4, None)
     assert nonzero_vectors(small, cap=15).size == 15
     with pytest.raises(DomainOverflow):
         nonzero_vectors(small, cap=14)
@@ -154,12 +154,12 @@ def test_refined_antiflags_over_the_cap_are_refused_before_they_are_listed(monke
     def unlisted(frame):
         raise AssertionError("the codes were listed before the cap was checked")
 
-    frame = SpaceFrame(FieldSpec.get(2), 12, None, tuple(f"v{i}" for i in range(12)))
+    frame = SpaceFrame(FieldSpec.get(2), 12, None)
     with monkeypatch.context() as m:
         m.setattr(perm, "_all_vectors", unlisted)
         with pytest.raises(DomainOverflow, match=f"domain size {4095 * 2048} exceeds cap 10"):
             refined_antiflags(frame, cap=10)
-    small = SpaceFrame(FieldSpec.get(3), 2, None, ("a", "b"))
+    small = SpaceFrame(FieldSpec.get(3), 2, None)
     assert refined_antiflags(small, cap=24).size == 8 * 3
     with pytest.raises(DomainOverflow):
         refined_antiflags(small, cap=23)
@@ -405,7 +405,7 @@ def _gamma_l_order(F, n):
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (9, 2), (2, 3), (3, 3)])
 def test_only_the_identity_fixes_the_known_base(q, n):
     F = FieldSpec.get(q)
-    dom = nonzero_vectors(SpaceFrame(F, n, None, tuple(f"v{i}" for i in range(n))))
+    dom = nonzero_vectors(SpaceFrame(F, n, None))
     assert len(dom.known_base) == n + (F.f > 1)
     # the whole of GammaL(n, q), frob != 0 included, built without the base
     chain = StabChain(dom.perms_of(_gamma_l_gens(F, n)), dom.size)
@@ -418,7 +418,7 @@ def test_only_the_identity_fixes_the_known_base(q, n):
 def test_frobenius_fixes_every_basis_vector_but_not_x_e1():
     F = FieldSpec.get(4)
     for n in (2, 3):
-        dom = nonzero_vectors(SpaceFrame(F, n, None, tuple(f"v{i}" for i in range(n))))
+        dom = nonzero_vectors(SpaceFrame(F, n, None))
         phi = dom.perm_of(GroupElem(MatF.identity(F, n), 1))
         *basis, x_e1 = dom.known_base
         assert not is_identity(phi)

@@ -224,7 +224,7 @@ def test_every_recipe_kind_resolves_and_every_registry_entry_is_used(records):
     from factorlab.verify import RECIPES
 
     roles = {"H": {"group", "residual"}, "K": {"group", "residual"},
-             "ambient": {"group", "residual"}, "domain": {"frame", "orbit"}}
+             "domain": {"frame", "orbit"}}
     named = set()
     for rec in records:
         for key, allowed in roles.items():
@@ -298,27 +298,60 @@ FAIL_DETAILS = {
         "order identity fails",
         {"orderH": 504, "orderG": 1451521, "orderK": 11520, "orderInt": 4,
          "residualOrderInt": 1}),
-    # an orbit domain's ambient must act on H's space, checked before the
-    # orbit is built (H's chain on an orbit in GF(97)^2 cannot run)
+    # G, the ambient group read from the G shape, must act on H's space with
+    # H's form, checked before any domain is built (H's chain on an orbit in
+    # GF(97)^2 cannot run)
     "ambient of another space": (
-        ("T8.2a", [], {"ambient": ["classical", "Sp", 2, 97]}),
-        "construction: the ambient acts on GF(97)^2, H on GF(2)^8", {}),
+        ("T8.2a", [("G", "Sp(2,97)")], {}),
+        "construction: G acts on GF(97)^2, H on GF(2)^8", {}),
     "no ambient": (
-        ("T6.19", [], {"ambient": None}),
-        "construction: domain MinusPairOrbit needs an ambient", {}),
-    # a frame domain's ambient is checked too: both PASSed with it ignored
+        ("T6.19", [("G", "Omega+(2*m,q).2")], {}),
+        "construction: G is not a classical family", {}),
     "frame ambient of another space": (
-        ("T1.1b", [], {"ambient": ["classical", "Sp", 2, 97]}),
-        "construction: the ambient acts on GF(97)^2, H on GF(2)^4", {}),
+        ("T1.1b", [("G", "Sp(2,97)")], {}),
+        "construction: G acts on GF(97)^2, H on GF(2)^4", {}),
     "antiflag ambient of another space": (
-        ("T1.3a", [], {"ambient": ["classical", "Sp", 2, 97]}),
-        "construction: the ambient acts on GF(97)^2, H on GF(2)^4", {}),
+        ("T1.3a", [("G", "Sp(2,97)")], {}),
+        "construction: G acts on GF(97)^2, H on GF(2)^4", {}),
     # Sp(8,2) acts on H's GF(2)^8 but preserves no quadratic form: its orbit
     # of minus pairs has 32640 points, which blamed the table's [G:K]
     "ambient with another form": (
-        ("T6.19", [], {"ambient": ["classical", "Sp", 8, 2]}),
-        "construction: the ambient's alternating form differs from H's form", {}),
+        ("T6.19", [("G", "Sp(2*m,q)")], {}),
+        "construction: G's alternating form differs from H's form", {}),
+    # before G's frame was checked, these two blamed |K| | |G| and the domain size
+    "T2.2: G of another field": (
+        ("T2.2", [("G", "Sp(2*m,q)")], {"bindings": [{"m": 2, "q": 2}]}),
+        "construction: G acts on GF(2)^4, H on GF(2^2)^4", {}),
+    "T5.4: G of another type": (
+        ("T5.4", [("G", "Omega+(2*m,q)")], {}),
+        "construction: G's quadratic form differs from H's form", {}),
+    "T4.1a: G of another dimension": (
+        ("T4.1a", [("G", "Sp(2*a*b,q)")], {}),
+        "construction: G acts on GF(3)^6, H on GF(3)^7", {}),
+    "T5.1: G of another type": (
+        ("T5.1", [("G", "Omega+(2*m,q)")], {}),
+        "construction: G's quadratic form differs from H's form", {}),
+    "T5.7: G of another type": (
+        ("T5.7", [("G", "O+(2*m,2)")], {}),
+        "construction: G's quadratic form differs from H's form", {}),
+    "T6.5a: G of another type": (
+        ("T6.5a", [("G", "Omega-(2*m,q)")], {}),
+        "construction: G's quadratic form differs from H's form", {}),
+    "T6.15: G of another type": (
+        ("T6.15", [("G", "Omega-(2*m,q)")], {}),
+        "construction: G's quadratic form differs from H's form", {}),
+    "T8.14a: G with another form": (
+        ("T8.14a", [("G", "Omega-(2*a*b,q)")], {}),
+        "construction: G's quadratic form differs from H's form", {}),
+    # the sift route reads no G to take an orbit of
+    "orbit domain off the stab route": (
+        ("T8.1a", [], {"domain": ["FormOrbit", "+"]}),
+        "construction: domain FormOrbit is an orbit of G, off the stab route", {}),
 }
+
+# the mutants that G's frame check refuses
+G_MUTANTS = [name for name, (_, detail, _) in FAIL_DETAILS.items()
+             if detail.startswith(("construction: G ", "construction: G's "))]
 
 
 @pytest.mark.parametrize("name", FAIL_DETAILS)
@@ -331,15 +364,20 @@ def test_tier_b_fail_details_are_pinned(records, name):
     assert set(r.expected) == {"orderG", "orderH", "orderK", "orderInt"}
 
 
-@pytest.mark.parametrize("name", ["frame ambient of another space",
-                                  "antiflag ambient of another space",
-                                  "ambient with another form"])
+def test_every_stab_record_has_a_g_mutant(records):
+    stab = {r.id for r in records if r.tier_b and r.tier_b["route"] == "stab"}
+    assert len(stab) == 12
+    assert {FAIL_DETAILS[name][0][0] for name in G_MUTANTS} == stab
+
+
+@pytest.mark.parametrize("name", G_MUTANTS)
 def test_an_ambient_off_h_space_is_refused_before_any_table_is_built(records, name,
                                                                      monkeypatch):
     import factorlab.perm as perm
 
     built = []
-    for fn in ("vector_table", "form_values", "nonzero_vectors", "refined_antiflags",
+    for fn in ("vector_table", "form_values", "nonzero_vectors", "norm_level_set",
+               "singular_vectors", "refined_antiflags", "form_orbit",
                "ordered_vector_pairs"):
         monkeypatch.setattr(perm, fn, lambda *args, fn=fn, **kw: built.append(fn))
     (rid, shapes, tier_b), detail, _ = FAIL_DETAILS[name]

@@ -59,7 +59,6 @@ rec("T1.1b", "linear",
     tier_b={
         "bindings": [{"a": 4, "b": 1, "q": 2}],
         "H": ["derived_of", ["classical", "Sp", 4, 2]],
-        "ambient": ["classical", "SL", 4, 2],
         "domain": ["NonzeroVectors"],
         "route": "stab",
     },
@@ -83,7 +82,6 @@ rec("T1.3a", "linear",
     tier_b={
         "bindings": [{"m": 2}],
         "H": ["blowup_sigma", "SL", 2, 4],
-        "ambient": ["classical", "SL", 4, 2],
         "domain": ["RefinedAntiflags"],
         "route": "stab",
     })
@@ -501,7 +499,6 @@ rec("T6.19", "plus-orthogonal",
         "bindings": [{"m": 4, "q": 2}],
         "H": ["pm_residual", "Omega+", "m", "q"],
         "domain": ["MinusPairOrbit"],
-        "ambient": ["classical", "Omega+", 8, 2],
         "route": "stab",
     })
 rec("T6.20", "plus-orthogonal",
@@ -611,7 +608,6 @@ rec("T8.2a", "symplectic",
         "bindings": [{"a": 2, "b": 2, "q": 2}],
         "H": ["ext_field_sp", "a", "b", "q"],
         "domain": ["FormOrbit", "+"],
-        "ambient": ["classical", "Sp", 8, 2],
         "route": "stab",
     })
 rec("T8.2b", "symplectic",
@@ -754,7 +750,6 @@ rec("T8.14a", "symplectic",
         "bindings": [{"a": 2, "b": 2, "q": 2}],
         "H": ["ext_field_sp", "a", "b", "q"],
         "domain": ["FormOrbit", "-"],
-        "ambient": ["classical", "Sp", 8, 2],
         "route": "stab",
     })
 rec("T8.14b", "symplectic",
